@@ -4,7 +4,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nosha)
 
-.PHONY: all build vet fmt-check test race bench bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed serve-smoke sweep-smoke pack-smoke
+.PHONY: all build vet fmt-check test race bench bench-compare bench-check profile fuzz fuzz-nightly fuzz-malformed serve-smoke sweep-smoke pack-smoke perfbench-smoke
 
 all: build vet fmt-check test
 
@@ -102,14 +102,22 @@ sweep-smoke:
 	@rm -f bside.smoke bsidegen.smoke
 
 # End-to-end smoke test of cache compaction: cold batch populates a
-# cache, a warm loose replay fixes the oracle output, `bside cache
-# pack` compacts, and a second warm replay out of the mmapped pack must
-# be byte-identical with pack hits reported in the summary.
+# cache, a warm replay out of the segments fixes the oracle output,
+# `bside cache pack` compacts, and a second warm replay out of the
+# mmapped pack must be byte-identical with pack hits reported in the
+# summary.
 pack-smoke:
 	$(GO) build -o bside.smoke ./cmd/bside
 	$(GO) build -o bsidegen.smoke ./cmd/bsidegen
 	$(GO) run ./cmd/packsmoke -bside ./bside.smoke -gen ./bsidegen.smoke
 	@rm -f bside.smoke bsidegen.smoke
+
+# The fleet benchmark's own tests (perfbench/ is a separate Go module,
+# so the root `go test ./...` does not reach it): every workload runs
+# smoke-sized, untraced and traced, and must pass its correctness
+# checks and print exactly the metrics BENCHMARK.json names.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Randomized corpus fuzzing: soundness + invariance + baseline-sanity
 # oracle over a seed range, JSON verdict lines on stdout, non-zero exit

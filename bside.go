@@ -134,7 +134,7 @@ type Options struct {
 	// PackPath, when set, additionally attaches one compacted cache
 	// pack file (see `bside cache pack`) to the analyzer's store: an
 	// immutable, memory-mapped, binary-searchable snapshot of cache
-	// entries consulted between the memory tier and the loose files.
+	// entries consulted between the memory tier and the segment files.
 	// Packs living under CacheDir/packs/ are discovered automatically;
 	// this knob points at a pack built elsewhere — a fleet can compact
 	// once, distribute the file, and mount it read-only everywhere. An
@@ -152,11 +152,11 @@ type Options struct {
 	// benchmarking the un-memoized substrate and for the oracle itself.
 	DisableFuncMemo bool
 	// DisableMemoryTier turns off the persistent cache's in-process
-	// memory tier, forcing every cache load to the disk envelopes. The
-	// tier only ever holds disk-validated, content-addressed payloads,
-	// so results are byte-identical either way (the fuzzer's
+	// memory tier, forcing every cache load to the packs and segments.
+	// The tier only ever holds disk-validated, content-addressed
+	// payloads, so results are byte-identical either way (the fuzzer's
 	// frontend-invariance axis enforces that); the switch exists for
-	// benchmarking the durable tier and for the oracle itself.
+	// benchmarking the durable tiers and for the oracle itself.
 	DisableMemoryTier bool
 	// ResolverLayers selects the depth of the layered indirect-call
 	// resolver, which refines how far each indirect call/jump site can
@@ -301,7 +301,7 @@ type CacheStats struct {
 	Misses uint64 `json:"misses"`
 	Stores uint64 `json:"stores"`
 	// MemoryHits is the subset of Hits served from the in-process
-	// memory tier, without a file read or an envelope decode.
+	// memory tier, without a record read or a decode.
 	MemoryHits uint64 `json:"memory_hits"`
 	// PackHits is the subset of Hits served from a memory-mapped cache
 	// pack — a binary-search probe into the shared mapping, with no
@@ -313,11 +313,12 @@ type CacheStats struct {
 	Packs           int   `json:"packs"`
 	PackEntries     int   `json:"pack_entries"`
 	PackBytesMapped int64 `json:"pack_bytes_mapped"`
-	// StoredBytes counts envelope bytes written to the disk tier.
+	// StoredBytes counts the segment record bytes written to disk:
+	// framing, key, conf fingerprint and JSON payload.
 	StoredBytes uint64 `json:"stored_bytes"`
 	// CacheIOErrors counts durable-tier operations that failed for
-	// reasons other than "entry absent" — unreadable loose files,
-	// failed writes. Analysis proceeds regardless (reads degrade to
+	// reasons other than "entry absent" — unreadable segment
+	// records, failed writes. Analysis proceeds regardless (reads degrade to
 	// misses, writes are dropped), but a climbing count means the cache
 	// directory is unhealthy; the serve tier's /healthz reports
 	// degraded past a threshold.
@@ -348,6 +349,18 @@ type CacheStats struct {
 	ImageMapped uint64 `json:"image_mapped"`
 	// ImageBytes is the total image bytes opened.
 	ImageBytes uint64 `json:"image_bytes"`
+}
+
+// Close seals the analyzer's cache segment — the append-only file its
+// stores land in — so a later compaction (`bside cache pack`) can
+// absorb it, and closes the cache files the analyzer holds; a process
+// that exits seals its segments anyway. The analyzer stays usable: the
+// cache reopens what it needs. A no-op without CacheDir.
+func (a *Analyzer) Close() error {
+	if a.cache == nil {
+		return nil
+	}
+	return a.cache.Close()
 }
 
 // CacheStats reports the analyzer's cache traffic so far.

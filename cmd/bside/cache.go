@@ -17,15 +17,18 @@ import (
 	_ "bside/internal/shared"
 )
 
-// runCache administers a cache directory: compaction into the mmapped
-// pack tier, and garbage collection of loose entries a pack already
-// covers.
+// runCache administers a cache directory: compaction of its sealed
+// segments and any existing pack into one mmapped pack.
 func runCache(args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		fmt.Fprintln(stderr, "usage: bside cache pack|gc -dir <cachedir>")
+		fmt.Fprintln(stderr, "usage: bside cache pack -dir <cachedir>")
 		return usageError{errors.New("cache: missing subcommand")}
 	}
 	sub := args[0]
+	if sub != "pack" {
+		fmt.Fprintln(stderr, "usage: bside cache pack -dir <cachedir>")
+		return usageError{fmt.Errorf("cache: unknown subcommand %q", sub)}
+	}
 	fs := flag.NewFlagSet("cache "+sub, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "", "cache directory (as given to -cache / CacheDir)")
@@ -47,30 +50,16 @@ func runCache(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch sub {
-	case "pack":
-		cs, err := st.Compact()
-		if err != nil {
-			return err
-		}
-		if cs.Packed == 0 {
-			fmt.Fprintf(stdout, "bside cache pack: nothing to pack in %s (%d files skipped)\n", *dir, cs.SkippedLoose)
-			return nil
-		}
-		fmt.Fprintf(stdout, "bside cache pack: %s: %d entries (%d loose + %d carried, %d binary-encoded) -> %s (%d bytes); pruned %d loose / %d packs, skipped %d\n",
-			*dir, cs.Packed, cs.FromLoose, cs.FromPacks, cs.BinaryEncoded,
-			cs.PackPath, cs.PackBytes, cs.PrunedLoose, cs.PrunedPacks, cs.SkippedLoose)
-		return nil
-	case "gc":
-		gs, err := st.GC()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "bside cache gc: %s: pruned %d loose entries already packed, kept %d\n",
-			*dir, gs.PrunedLoose, gs.KeptLoose)
-		return nil
-	default:
-		fmt.Fprintln(stderr, "usage: bside cache pack|gc -dir <cachedir>")
-		return usageError{fmt.Errorf("cache: unknown subcommand %q", sub)}
+	cs, err := st.Compact()
+	if err != nil {
+		return err
 	}
+	if cs.Packed == 0 {
+		fmt.Fprintf(stdout, "bside cache pack: nothing to pack in %s (%d segments skipped)\n", *dir, cs.SkippedSegments)
+		return nil
+	}
+	fmt.Fprintf(stdout, "bside cache pack: %s: %d entries (%d from segments + %d carried, %d binary-encoded) -> %s (%d bytes); pruned %d segments / %d packs, skipped %d live segments\n",
+		*dir, cs.Packed, cs.FromSegments, cs.FromPacks, cs.BinaryEncoded,
+		cs.PackPath, cs.PackBytes, cs.PrunedSegments, cs.PrunedPacks, cs.SkippedSegments)
+	return nil
 }

@@ -9,7 +9,7 @@
 //	bside fuzz [-seeds n] [-start s] [-repro dir]
 //	bside serve [-addr host:port] [-libs dir] [-cache dir] [-pack file] [-inflight n] [-timeout d]
 //	bside sweep [-libs dir] [-cache dir] [-pack file] [-jobs n] [-queue n] [-diff] [-nommap] [-summary file] <root>
-//	bside cache pack|gc -dir <cachedir>
+//	bside cache pack -dir <cachedir>
 //
 // The batch form analyzes many binaries concurrently over a shared
 // interface cache, emitting one JSON object per binary (JSON lines) on
@@ -37,13 +37,13 @@
 // the analysis are flagged as soundness disagreements.
 //
 // The cache form administers a persistent cache directory: `bside
-// cache pack` compacts the loose JSON entries (and any existing pack)
-// into one immutable, memory-mapped, binary-searchable pack file under
-// <dir>/packs/ and prunes what it absorbed; `bside cache gc` removes
-// loose entries an existing pack already serves. Warm lookups through
-// a pack skip the per-entry open() and both JSON decodes — the
-// difference between "parse per request" and "hash probe into a
-// shared mapping" for a resident service or a warm fleet sweep.
+// cache pack` compacts the sealed segments (those no live process is
+// still appending to) and any existing pack into one immutable,
+// memory-mapped, binary-searchable pack file under <dir>/packs/ and
+// deletes what it absorbed. Warm lookups through a pack skip the
+// per-entry record read and the JSON decode — the difference between
+// "parse per request" and "hash probe into a shared mapping" for a
+// resident service or a warm fleet sweep.
 //
 // The serve form runs the resident analysis service (internal/serve):
 // one warm analyzer behind POST /analyze (upload or ?hash= cache

@@ -1,7 +1,7 @@
 // Command packsmoke is the CI smoke test for the mmapped cache pack
 // tier: it materializes an application corpus with the real generator
 // (bsidegen), populates a cache with a cold `bside batch -cache` run,
-// replays the batch warm from the loose tier, compacts the cache with
+// replays the batch warm from the segments, compacts the cache with
 // `bside cache pack`, and replays the batch warm again from the pack —
 // asserting the two warm replays emit byte-identical JSON and that the
 // packed replay provably hit the pack tier. The operator's compaction
@@ -70,20 +70,24 @@ func run(bsidePath, genPath string) error {
 		return fmt.Errorf("cold batch reported %d pack hits before any pack exists", n)
 	}
 
-	// Warm replay A, loose tier: the oracle output the pack tier must
+	// Warm replay A, segment tier: the oracle output the pack tier must
 	// reproduce byte for byte. (The cold stream differs only by the
 	// absence of the "cached" markers, so the cold/warm comparison is
 	// per-binary syscall sets, done implicitly by the cache's own
 	// content addressing; the byte-level bar is warm-vs-warm.)
-	looseOut, looseErr, err := batch(bsidePath, libs, cache, apps)
+	segOut, segErr, err := batch(bsidePath, libs, cache, apps)
 	if err != nil {
-		return fmt.Errorf("warm loose batch: %w", err)
+		return fmt.Errorf("warm segment batch: %w", err)
 	}
-	if !bytes.Contains(looseErr, []byte(" 0 analyzed (cold)")) {
-		return fmt.Errorf("warm loose batch was not fully cache-served:\n%s", looseErr)
+	if !bytes.Contains(segErr, []byte(" 0 analyzed (cold)")) {
+		return fmt.Errorf("warm segment batch was not fully cache-served:\n%s", segErr)
+	}
+	if n := packHits(segErr); n != 0 {
+		return fmt.Errorf("warm segment batch reported %d pack hits before any pack exists", n)
 	}
 
-	// Compact the loose entries into a pack.
+	// Compact the sealed segments (both batch processes have exited)
+	// into a pack.
 	var packStdout, packStderr bytes.Buffer
 	cmd := exec.Command(bsidePath, "cache", "pack", "-dir", cache)
 	cmd.Stdout = &packStdout
@@ -93,6 +97,10 @@ func run(bsidePath, genPath string) error {
 	}
 	if !bytes.Contains(packStdout.Bytes(), []byte("entries")) {
 		return fmt.Errorf("cache pack compacted nothing: %s", packStdout.String())
+	}
+	// Compaction deletes what it absorbed: no segment survives it.
+	if left, _ := filepath.Glob(filepath.Join(cache, "segments", "*.seg")); len(left) != 0 {
+		return fmt.Errorf("cache pack left %d segments behind: %s", len(left), packStdout.String())
 	}
 
 	// Warm replay B, pack tier: byte-identical output, provably served
@@ -104,8 +112,8 @@ func run(bsidePath, genPath string) error {
 	if !bytes.Contains(packErr, []byte(" 0 analyzed (cold)")) {
 		return fmt.Errorf("warm pack batch was not fully cache-served:\n%s", packErr)
 	}
-	if !bytes.Equal(packOut, looseOut) {
-		return fmt.Errorf("packed warm output drifted from the loose warm replay:\n%s\nvs\n%s", packOut, looseOut)
+	if !bytes.Equal(packOut, segOut) {
+		return fmt.Errorf("packed warm output drifted from the segment warm replay:\n%s\nvs\n%s", packOut, segOut)
 	}
 	if len(packOut) == 0 || bytes.Equal(coldOut, packOut) {
 		return fmt.Errorf("warm replays indistinguishable from cold (no cached markers?)")

@@ -1,85 +1,47 @@
 // Package cache implements the content-addressed store behind batch
 // analysis: the once-per-library artifacts of the paper's §4.5
-// (shared interfaces) and whole-program identification results are
-// persisted across processes, keyed by the SHA-256 of the ELF image
-// they were derived from, so a fleet-wide analysis run only ever pays
-// for each distinct binary once.
+// (shared interfaces) and whole-program results persist across
+// processes, so a fleet-wide run pays for each distinct binary once.
 //
-// The store is two-tiered. The durable tier is a directory of JSON
-// envelopes:
+// An entry is addressed by (kind, key, conf): kind partitions entry
+// types ("interface", "program", "funcsum"), key is the lowercase hex
+// SHA-256 of the source image, and conf is the configuration
+// fingerprint it was computed under — a mismatch (other settings, or a
+// dependency whose image changed) is a miss and the entry is
+// recomputed. A probe falls through three tiers:
 //
-//	<dir>/<kind>/<key[:2]>/<key>.json
+//   - memory: a process-wide, size-bounded LRU of *decoded* values; a
+//     hit is a pointer-copy assignment, not an Unmarshal.
+//   - packs (pack.go): immutable, checksummed files under <dir>/packs/
+//     that Compact builds and readers memory-map and binary-search.
+//   - segments (segment.go): append-only, record-checksummed files
+//     under <dir>/segments/ where every Store lands, one write per
+//     entry.
 //
-// where kind partitions entry types ("interface", "program",
-// "funcsum") and key is the lowercase hex SHA-256 of the source image
-// (the store treats keys as opaque path-safe strings; elff.Read is the
-// one place the hash is computed). Every file is a compact JSON
-// envelope:
+// Corruption is never fatal: a damaged pack or segment record is a
+// miss, and the caller recomputes. Every hit, memory tier included,
+// stats the file backing it, so deleting a cache directory makes the
+// process recompute rather than serve ghosts. The per-entry JSON files
+// of earlier releases (<dir>/<kind>/) are ignored: upgrading costs one
+// recompute.
 //
-//	{"version":2,"sha256":"<key>","conf":"<fingerprint>","payload":{...}}
-//
-// Version 1 envelopes — the pretty-printed format of earlier releases
-// — are still readable; only the writer moved to the compact codec, so
-// an upgraded fleet keeps its warm cache. The envelope makes the store
-// self-validating: an unknown version, a sha256 field that disagrees
-// with the file's name (a moved or hand-edited entry), a configuration
-// fingerprint mismatch (different analysis settings, or a dependency
-// whose image hash changed), or any decode error is treated as a miss
-// and the entry is re-computed — corruption is never fatal. Writes go
-// through a temp file plus rename so concurrent writers of the same
-// entry cannot tear each other's files.
-//
-// Between the memory tier and the loose files sits the optional pack
-// tier (see pack.go): Compact folds the loose entries into one
-// immutable, content-addressed pack file under <dir>/packs/ that later
-// processes memory-map read-only and probe by binary search — a warm
-// hit costs a hash probe into a shared mapping instead of an open()
-// plus two JSON decodes. Packs are discovered automatically by Open,
-// validated end-to-end by checksum (a truncated or bit-flipped pack is
-// ignored, never served), and consulted after the memory tier and
-// before the loose files; writes always land loose, so a pack is a
-// snapshot that never goes stale incorrectly — at worst a probe falls
-// through to a fresher loose entry.
-//
-// In front of both durable tiers sits a process-wide memory tier
-// holding *decoded* values: a payload validated and decoded once is
-// kept as the typed Go value (keyed by directory, kind and key), so
-// repeated loads of the same entry — a fleet re-probing a warm cache,
-// analyzers recreated per batch — skip the file read and both decodes;
-// a memory hit is a pointer-copy assignment, not an Unmarshal. One
-// stat per hit confirms the durable backing (loose file or pack) still
-// exists, so deleting a cache directory makes the process recompute
-// and repopulate rather than serve ghosts. The tier is read-through:
-// only disk-validated payloads enter it, entries are content-addressed
-// (the same key and fingerprint always name the same payload), and a
-// Store through any handle drops the stale copy, so it can never serve
-// a result the durable tier would not. Because hits hand every caller
-// the same decoded value, callers must treat loaded results as
-// immutable — the analyzer's read paths already do.
-// DisableMemoryTier opts a handle out — the fuzzer's
-// frontend-invariance oracle holds memory-tier-on and -off analyses to
-// byte-identical results.
-//
-// The tier is a size-bounded LRU: both the entry count and the total
-// payload bytes are capped (SetMemoryTierLimits), and inserting past
-// either cap evicts from the cold end. A resident service can therefore
-// hold a process open for months without the tier growing with the
-// fleet's distinct-binary population; eviction only ever costs the next
-// identical load a disk read, never a recompute of anything that is
-// still on disk. Eviction traffic is counted (Stats.MemoryEvictions)
-// so an operator can see when the tier is sized below the working set.
+// The memory tier only holds disk-validated, content-addressed values,
+// and a Store through any handle drops the stale copy, so it never
+// serves what the durable tiers would not. Hits hand every caller the
+// same value, so loaded results are immutable by contract. Entry count
+// and payload bytes are capped (SetMemoryTierLimits); eviction only
+// costs the next identical load a disk read and is counted in
+// Stats.MemoryEvictions. DisableMemoryTier opts a handle out — the
+// fuzzer holds tier-on and tier-off analyses to identical results.
 package cache
 
 import (
 	"container/list"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,34 +49,20 @@ import (
 	"bside/internal/faults"
 )
 
-// formatVersion is the envelope version the writer produces. Version
-// legacyVersion is still accepted by Load so existing caches survive
-// the compact-codec migration; anything else is a miss.
-const (
-	formatVersion = 2
-	legacyVersion = 1
-)
-
-// Default memory-tier bounds. Entries are content-addressed, so
-// evicting one never changes results — only the speed of the next
-// identical load (a disk re-read instead of a memory hit).
+// Default memory-tier bounds.
 const (
 	defaultMemEntries = 1 << 16
 	defaultMemBytes   = 256 << 20
 )
 
-// memTier is the process-wide memory tier: a lock-striped LRU over
-// full entry keys (dir\x00kind\x00key). It is shared by every Store
-// handle so a per-batch analyzer recreated over the same directory
-// keeps its warm entries; striping keeps a fleet sweep's worker pool
-// from serializing on one mutex.
+// memTier is the process-wide memory tier over full entry keys
+// (dir\x00kind\x00key), shared by every Store handle so an analyzer
+// recreated over the same directory keeps its warm entries.
 var memTier = newStripedTier(defaultMemEntries, defaultMemBytes)
 
-// memEntry is one resident memory-tier entry: the decoded value (a
-// boxed copy of what the loading caller received — immutable by
-// contract), the conf fingerprint it was stored under, the durable
-// path backing it (statted on every hit so a deleted cache never
-// ghost-serves), and the durable payload size the byte budget charges.
+// memEntry is one resident memory-tier entry: the decoded value
+// (immutable by contract), its conf fingerprint, the durable file
+// backing it (statted on every hit), and the payload size charged.
 type memEntry struct {
 	key  string
 	conf string
@@ -123,22 +71,15 @@ type memEntry struct {
 	val  any
 }
 
-// tierStripes is the memory tier's stripe count. Keys spread by hash,
-// so with a fleet sweep's worker pool (typically ≤ GOMAXPROCS workers)
-// the probability of two workers colliding on one stripe's mutex stays
-// low; 16 is plenty without fragmenting the byte budget into
-// uselessly small shares.
+// tierStripes is the memory tier's stripe count: enough that a sweep's
+// workers rarely collide, few enough to keep byte-budget shares useful.
 const tierStripes = 16
 
-// stripedTier shards the memory tier across tierStripes independent
-// LRUs, each with its own mutex and a proportional slice of the entry
-// and byte budgets (shares sum to the configured caps, except that
-// every stripe keeps a floor of 1 so degenerate tiny caps stay
-// functional). Recency and eviction are therefore per-stripe: a
-// globally-LRU entry survives if its stripe is cold, and a hot stripe
-// evicts entries a global LRU would have kept — bounded staleness the
-// property test holds to a per-stripe tolerance, in exchange for
-// uncontended parallel access.
+// stripedTier shards the memory tier across tierStripes LRUs, each
+// with its own mutex and a proportional share (at least 1) of the
+// entry and byte budgets. Recency and eviction are per stripe — a
+// bounded departure from a global LRU, which the property test holds
+// to a per-stripe tolerance, in exchange for uncontended access.
 type stripedTier struct {
 	limitMu    sync.Mutex // guards the configured totals, not the data path
 	maxEntries int
@@ -187,8 +128,7 @@ func (t *stripedTier) evictions() uint64 {
 }
 
 // setLimits installs new totals (non-positive values keep the current
-// ones) by dividing them across the stripes — remainder spread over
-// the low stripes, a floor of 1 per stripe — and returns the previous
+// ones), divides them across the stripes, and returns the previous
 // totals.
 func (t *stripedTier) setLimits(maxEntries int, maxBytes int64) (prevEntries int, prevBytes int64) {
 	t.limitMu.Lock()
@@ -200,30 +140,21 @@ func (t *stripedTier) setLimits(maxEntries int, maxBytes int64) (prevEntries int
 	if maxBytes > 0 {
 		t.maxBytes = maxBytes
 	}
-	for i := range t.stripes {
-		e := t.maxEntries / tierStripes
-		if i < t.maxEntries%tierStripes {
-			e++
+	share := func(total int64, i int) int64 {
+		n := total / tierStripes
+		if int64(i) < total%tierStripes {
+			n++
 		}
-		if e < 1 {
-			e = 1
-		}
-		b := t.maxBytes / tierStripes
-		if int64(i) < t.maxBytes%int64(tierStripes) {
-			b++
-		}
-		if b < 1 {
-			b = 1
-		}
-		t.stripes[i].setLimits(e, b)
+		return max(n, 1)
+	}
+	for i, st := range t.stripes {
+		st.setLimits(int(share(int64(t.maxEntries), i)), share(t.maxBytes, i))
 	}
 	return prevEntries, prevBytes
 }
 
-// lruTier is the size-bounded LRU behind one stripe of the memory
-// tier: a map for lookup, an intrusive recency list for eviction
-// order, and byte accounting over payload sizes. Each stripe has its
-// own mutex; cross-stripe concurrency never contends.
+// lruTier is the size-bounded LRU behind one stripe: a map for lookup,
+// a recency list for eviction order, and payload byte accounting.
 type lruTier struct {
 	mu         sync.Mutex
 	entries    map[string]*list.Element // -> *memEntry elements of order
@@ -269,14 +200,7 @@ func (t *lruTier) put(ent memEntry) {
 		t.entries[ent.key] = t.order.PushFront(&ent)
 		t.bytes += int64(ent.size)
 	}
-	for t.order.Len() > t.maxEntries || t.bytes > t.maxBytes {
-		back := t.order.Back()
-		if back == nil {
-			break
-		}
-		t.removeLocked(back)
-		t.evictions.Add(1)
-	}
+	t.evictLocked()
 }
 
 // del drops the entry for key if present.
@@ -295,6 +219,14 @@ func (t *lruTier) removeLocked(el *list.Element) {
 	t.bytes -= int64(ent.size)
 }
 
+// evictLocked drops entries from the cold end until both bounds hold.
+func (t *lruTier) evictLocked() {
+	for t.order.Len() > 0 && (t.order.Len() > t.maxEntries || t.bytes > t.maxBytes) {
+		t.removeLocked(t.order.Back())
+		t.evictions.Add(1)
+	}
+}
+
 // snapshot returns the tier's gauges: entry count and payload bytes.
 func (t *lruTier) snapshot() (entries int, bytes int64) {
 	t.mu.Lock()
@@ -302,35 +234,18 @@ func (t *lruTier) snapshot() (entries int, bytes int64) {
 	return t.order.Len(), t.bytes
 }
 
-// setLimits installs new bounds (non-positive values keep the current
-// ones), evicting immediately if the tier is now over, and returns the
-// previous bounds. Process-wide: the tier is shared by every Store.
-func (t *lruTier) setLimits(maxEntries int, maxBytes int64) (prevEntries int, prevBytes int64) {
+// setLimits installs new bounds, evicting immediately if the tier is
+// now over.
+func (t *lruTier) setLimits(maxEntries int, maxBytes int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	prevEntries, prevBytes = t.maxEntries, t.maxBytes
-	if maxEntries > 0 {
-		t.maxEntries = maxEntries
-	}
-	if maxBytes > 0 {
-		t.maxBytes = maxBytes
-	}
-	for t.order.Len() > t.maxEntries || t.bytes > t.maxBytes {
-		back := t.order.Back()
-		if back == nil {
-			break
-		}
-		t.removeLocked(back)
-		t.evictions.Add(1)
-	}
-	return prevEntries, prevBytes
+	t.maxEntries, t.maxBytes = maxEntries, maxBytes
+	t.evictLocked()
 }
 
 // SetMemoryTierLimits bounds the process-wide memory tier by entry
 // count and total payload bytes (non-positive values keep the current
-// bound) and returns the previous bounds. A resident service sizes the
-// tier to its memory budget here; eviction is recorded in every
-// store's Stats.MemoryEvictions.
+// bound) and returns the previous bounds.
 func SetMemoryTierLimits(maxEntries int, maxBytes int64) (prevEntries int, prevBytes int64) {
 	return memTier.setLimits(maxEntries, maxBytes)
 }
@@ -342,26 +257,25 @@ type Store struct {
 	memPrefix string
 	noMem     atomic.Bool
 
-	// packs is the current immutable set of open pack files, consulted
-	// after the memory tier and before the loose files. Readers load a
-	// snapshot and never lock; Compact and AttachPack swap in a new
-	// slice atomically. Superseded packs are dropped from the set but
-	// their mappings are deliberately not unmapped — a concurrent probe
-	// may still hold the old snapshot, and a handful of leaked mappings
-	// per compaction (backed by deleted files the kernel reclaims
-	// lazily) is far cheaper than reference-counting every probe.
+	// packs is the current immutable set of open pack files. Readers
+	// load a snapshot and never lock; writers swap in a new slice.
+	// Superseded mappings are deliberately not unmapped — a concurrent
+	// probe may still hold the old snapshot, and a few leaked mappings
+	// per compaction are far cheaper than reference-counting probes.
 	packs atomic.Pointer[[]*pack]
 
-	// compactMu serializes Compact/GC against each other; probes and
-	// stores never take it.
+	// compactMu serializes Compact runs; probes and stores never take it.
 	compactMu sync.Mutex
 
-	// shardMu stripes disk writes by key shard (the key[:2] subdir
-	// layout mapped onto tierStripes mutexes): concurrent sweep workers
-	// storing into different shards proceed in parallel, while writers
-	// landing in one shard serialize their temp-sweep + create + rename
-	// sequence instead of churning temp files against each other.
-	shardMu [tierStripes]sync.Mutex
+	// segMu guards the segment index and the segment set below. Loads
+	// hold it only for the map probe; the pread runs outside it.
+	segMu      sync.RWMutex
+	index      map[segKey]segRef   // (kind, key) -> latest record
+	segs       map[string]*segment // every indexed segment, by path
+	own        *segment            // this handle's segment; nil until the first Store
+	dirMod     time.Time           // segments dir mtime at the last scan
+	dirSettled bool                // the last scan began clear of dirMod's racy window
+	indexed    uint64              // records indexed so far
 
 	hits        atomic.Uint64
 	memoryHits  atomic.Uint64
@@ -374,19 +288,17 @@ type Store struct {
 
 // Stats is a point-in-time snapshot of cache traffic.
 type Stats struct {
-	// Hits counts Load calls satisfied by either tier.
+	// Hits counts Load calls satisfied by any tier.
 	Hits uint64
 	// MemoryHits counts the subset of Hits served from the in-process
-	// memory tier without touching the disk.
+	// memory tier without reading the disk.
 	MemoryHits uint64
 	// PackHits counts the subset of Hits served from a memory-mapped
-	// pack file — a binary-search probe into the shared mapping instead
-	// of an open() plus envelope decode.
+	// pack file.
 	PackHits uint64
-	// Packs, PackEntries and PackBytesMapped are point-in-time gauges
-	// of the open pack set: file count, total index entries, and the
-	// bytes currently memory-mapped (zero where the platform fell back
-	// to heap reads).
+	// Packs, PackEntries and PackBytesMapped gauge the open pack set:
+	// files, index entries, and bytes memory-mapped (zero where the
+	// platform fell back to heap reads).
 	Packs           int
 	PackEntries     int
 	PackBytesMapped int64
@@ -394,31 +306,28 @@ type Stats struct {
 	Misses uint64
 	// Stores counts entries written.
 	Stores uint64
-	// StoredBytes counts the envelope bytes written to disk — the
-	// footprint knob the compact codec shrinks.
+	// StoredBytes counts the segment record bytes written to disk
+	// (framing, key, conf and JSON payload).
 	StoredBytes uint64
-	// MemoryEvictions counts entries pushed out of the memory tier by
-	// its LRU bounds. Process-wide (the tier is shared by every Store in
-	// the process), monotonic. A resident service whose eviction rate
-	// tracks its hit rate has a tier sized below its working set.
+	// MemoryEvictions counts entries pushed out of the process-wide
+	// memory tier by its bounds; an eviction rate tracking the hit rate
+	// means the tier is sized below the working set.
 	MemoryEvictions uint64
 	// MemoryEntries and MemoryBytes are point-in-time gauges of the
-	// process-wide memory tier's population and payload footprint.
+	// process-wide memory tier's population and payload footprint. The
+	// segment index (offsets, not values) is not counted.
 	MemoryEntries int
 	MemoryBytes   int64
 	// IOErrors counts durable-tier operations that failed for reasons
-	// other than "entry absent": unreadable loose files on Load, any
-	// failed Store. Analysis proceeds either way (a failed read is a
-	// miss, a failed write is dropped), but a climbing count means the
-	// cache directory itself is unhealthy — the signal the serve tier's
-	// degraded-health check consumes.
+	// other than "entry absent": an unreadable record, a failed Store.
+	// A climbing count is the serve tier's degraded-health signal.
 	IOErrors uint64
 }
 
-// Open returns a store rooted at dir, creating it if needed. Pack
-// files under <dir>/packs/ are discovered and mapped here; a pack that
-// fails validation (truncated, corrupted) is skipped silently — the
-// loose tier still answers, corruption is never fatal.
+// Open returns a store rooted at dir, creating it if needed, with the
+// packs under <dir>/packs/ mapped and the segments under
+// <dir>/segments/ indexed; damaged ones are skipped. It writes
+// nothing else: a handle creates its segment on its first Store.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cache: empty directory")
@@ -426,27 +335,27 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	s := &Store{dir: dir, memPrefix: filepath.Clean(dir) + "\x00"}
+	s := &Store{
+		dir:       dir,
+		memPrefix: filepath.Clean(dir) + "\x00",
+		index:     make(map[segKey]segRef),
+		segs:      make(map[string]*segment),
+	}
 	s.discoverPacks()
+	s.refresh()
 	return s, nil
 }
 
-// Dir exposes the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // DisableMemoryTier makes this handle bypass the process-wide memory
 // tier: every Load goes to disk and nothing is promoted. Results are
-// byte-identical either way (the fuzzer's invariance oracle enforces
-// it); the switch exists for benchmarking the durable tier and for the
-// oracle itself. Returns the store for chaining.
+// byte-identical either way. Returns the store for chaining.
 func (s *Store) DisableMemoryTier() *Store {
 	s.noMem.Store(true)
 	return s
 }
 
-// Stats returns a snapshot of the traffic counters. The memory-tier
-// fields (MemoryEvictions, MemoryEntries, MemoryBytes) describe the
-// process-wide tier, not this store's slice of it.
+// Stats returns a snapshot of the traffic counters; the memory-tier
+// fields describe the process-wide tier, not this store's slice of it.
 func (s *Store) Stats() Stats {
 	entries, bytes := memTier.snapshot()
 	st := Stats{
@@ -461,27 +370,15 @@ func (s *Store) Stats() Stats {
 		MemoryEntries:   entries,
 		MemoryBytes:     bytes,
 	}
-	if ps := s.packs.Load(); ps != nil {
-		st.Packs = len(*ps)
-		for _, p := range *ps {
-			st.PackEntries += p.count
-			if p.mapped {
-				st.PackBytesMapped += int64(len(p.data))
-			}
+	ps := *s.packs.Load()
+	st.Packs = len(ps)
+	for _, p := range ps {
+		st.PackEntries += p.count
+		if p.mapped {
+			st.PackBytesMapped += int64(len(p.data))
 		}
 	}
 	return st
-}
-
-type envelope struct {
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Conf    string          `json:"conf,omitempty"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-func (s *Store) path(kind, key string) string {
-	return filepath.Join(s.dir, kind, key[:2], key+".json")
 }
 
 func (s *Store) memKey(kind, key string) string {
@@ -490,40 +387,32 @@ func (s *Store) memKey(kind, key string) string {
 
 // Load decodes the entry for (kind, key) into out and reports whether a
 // usable entry existed. conf must match the fingerprint the entry was
-// stored under; any mismatch, decode failure, or version skew is a miss.
-// A memory-tier hit assigns the already-decoded value — no file read,
-// no envelope validation, no Unmarshal; the caller must treat the
-// result (and any slices it holds) as immutable.
+// stored under; any mismatch or decode failure is a miss. The caller
+// must treat the result (and any slices it holds) as immutable.
 func (s *Store) Load(kind, key, conf string, out any) bool {
 	_, ok := s.load(kind, key, conf, false, out)
 	return ok
 }
 
 // LoadAny decodes the entry for (kind, key) whatever fingerprint it was
-// stored under and returns that fingerprint. This is the probe behind
-// hash-only lookups (a resident service's `?hash=` path), where the
-// caller holds no DT_NEEDED list to derive the fingerprint from; the
-// caller owns validating the returned fingerprint — serving an entry
-// without checking it would silently cross analyzer configurations.
+// stored under and returns that fingerprint — the probe behind
+// hash-only lookups. The caller owns validating the fingerprint;
+// serving without checking it would cross analyzer configurations.
 func (s *Store) LoadAny(kind, key string, out any) (string, bool) {
 	return s.load(kind, key, "", true, out)
 }
 
-// load is the shared probe, in tier order: the memory tier (a decoded
-// value plus one stat confirming its durable backing still exists),
-// then the mapped packs (binary-search probe, payload decoded straight
-// out of the mapping), then the loose JSON envelope — promoting into
-// the memory tier on any durable hit. anyConf accepts whatever
-// fingerprint is stored (the LoadAny path); otherwise conf must match
-// exactly.
+// load probes the tiers in order — memory, packs, segments — and
+// promotes any durable hit into the memory tier. anyConf accepts
+// whatever fingerprint is stored (LoadAny); otherwise conf must match.
 func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, bool) {
-	if len(key) < 2 {
+	var kb [32]byte
+	if !decodeHexKey(key, &kb) {
 		s.misses.Add(1)
 		return "", false
 	}
 	if err := faults.Fire(faults.CacheRead, kind+"/"+key); err != nil {
-		// Injected disk failure: counted and served as a miss, exactly
-		// like the real unreadable-file path below.
+		// Injected disk failure: counted and served as a miss.
 		s.ioErrors.Add(1)
 		s.misses.Add(1)
 		return "", false
@@ -534,11 +423,9 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 		mk = s.memKey(kind, key)
 		if ent, ok := memTier.get(mk); ok {
 			if anyConf || ent.conf == conf {
-				// One stat confirms the durable tier (the loose file or
-				// the pack this value came from) still backs the memory
-				// copy — a deleted cache directory must make this
-				// process recompute and repopulate the disk, not serve
-				// ghosts — while skipping the read and both decodes.
+				// One stat confirms the segment or pack this value came
+				// from still backs it: a deleted cache directory must make
+				// the process recompute, not serve ghosts.
 				if _, err := os.Stat(ent.src); err == nil {
 					if assignDecoded(out, ent.val) {
 						s.memoryHits.Add(1)
@@ -549,81 +436,50 @@ func (s *Store) load(kind, key, conf string, anyConf bool, out any) (string, boo
 					memTier.del(mk)
 				}
 			}
-			// A fingerprint mismatch falls through to disk: the file
-			// may hold a fresher entry stored under the new conf.
+			// A fingerprint mismatch falls through to disk: a segment may
+			// hold a fresher entry stored under the new conf.
 		}
 	}
-	if ps := s.packs.Load(); ps != nil {
-		for _, p := range *ps {
-			gotConf, codec, payload, ok := p.probe(kind, key, conf, anyConf)
-			if !ok {
-				continue
-			}
-			// The same ghost rule as the memory tier: the pack file must
-			// still exist on disk. A pack deleted under a live mapping
-			// (cache wipe, gc from another process) stops serving and is
-			// dropped from the set.
-			if _, err := os.Stat(p.path); err != nil {
-				s.dropPack(p)
-				continue
-			}
-			if !decodePackPayload(kind, codec, payload, out) {
-				// Codec/type mismatch or malformed payload: treat this
-				// pack as silent and let the loose tier answer.
-				continue
-			}
-			s.packHits.Add(1)
-			s.hits.Add(1)
-			if useMem {
-				s.promote(mk, gotConf, p.path, len(payload), out)
-			}
-			return gotConf, true
+	for _, p := range *s.packs.Load() {
+		gotConf, codec, payload, ok := p.probe(kind, key, conf, anyConf)
+		if !ok {
+			continue
 		}
-	}
-	path := s.path(kind, key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		// Absence is the normal cold-cache miss; anything else
-		// (permissions, EIO, a file that vanished mid-read) is the disk
-		// misbehaving and feeds the degraded-health signal.
-		if !errors.Is(err, fs.ErrNotExist) {
-			s.ioErrors.Add(1)
+		// The same ghost rule: a pack deleted under a live mapping stops
+		// serving and leaves the set.
+		if _, err := os.Stat(p.path); err != nil {
+			s.dropPack(p)
+			continue
 		}
-		s.misses.Add(1)
-		return "", false
+		if !decodePackPayload(kind, codec, payload, out) {
+			// Codec/type mismatch or malformed payload: let the
+			// segments answer.
+			continue
+		}
+		s.packHits.Add(1)
+		s.hits.Add(1)
+		if useMem {
+			s.promote(mk, gotConf, p.path, len(payload), out)
+		}
+		return gotConf, true
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		// Corrupt or truncated: ignore, the caller re-analyzes.
-		s.misses.Add(1)
-		return "", false
+	gotConf, src, size, ok := s.probeSegment(kind, &kb, conf, anyConf, out)
+	if !ok && s.refresh() {
+		gotConf, src, size, ok = s.probeSegment(kind, &kb, conf, anyConf, out)
 	}
-	if env.SHA256 != key {
-		// The file does not describe the image it is filed under:
-		// busted. No need to remove it — a removal here could race a
-		// concurrent Store's rename and delete a freshly written valid
-		// entry; the caller's re-analysis overwrites it instead.
-		s.misses.Add(1)
-		return "", false
-	}
-	if (env.Version != formatVersion && env.Version != legacyVersion) || !(anyConf || env.Conf == conf) {
-		s.misses.Add(1)
-		return "", false
-	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
+	if !ok {
 		s.misses.Add(1)
 		return "", false
 	}
 	if useMem {
-		s.promote(mk, env.Conf, path, len(env.Payload), out)
+		s.promote(mk, gotConf, src, size, out)
 	}
 	s.hits.Add(1)
-	return env.Conf, true
+	return gotConf, true
 }
 
-// decodePackPayload decodes one pack payload into out: raw JSON for
-// codec 0, the kind's registered PackCodec for codec 1. False means
-// "pretend the pack had no entry" — the probe falls through.
+// decodePackPayload decodes one pack or segment payload into out: raw
+// JSON (codec 0) or the kind's PackCodec (codec 1); false is a miss.
 func decodePackPayload(kind string, codec byte, payload []byte, out any) bool {
 	switch codec {
 	case packCodecJSON:
@@ -636,8 +492,7 @@ func decodePackPayload(kind string, codec byte, payload []byte, out any) bool {
 }
 
 // assignDecoded copies a resident decoded value into the caller's out
-// pointer. False (a type mismatch — out is not the pointer type the
-// value was decoded into) falls through to the durable tiers.
+// pointer; a type mismatch returns false and falls through to disk.
 func assignDecoded(out, val any) bool {
 	rv := reflect.ValueOf(out)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -652,9 +507,8 @@ func assignDecoded(out, val any) bool {
 	return true
 }
 
-// promote installs a durable-tier-validated decoded value into the
-// memory tier: a boxed copy of *out, the path whose existence future
-// hits re-confirm, and the durable payload size for byte accounting.
+// promote installs a durable-tier-validated decoded value (a boxed
+// copy of *out) into the memory tier, backed by the file at src.
 func (s *Store) promote(mk, conf, src string, size int, out any) {
 	rv := reflect.ValueOf(out)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
@@ -663,12 +517,13 @@ func (s *Store) promote(mk, conf, src string, size int, out any) {
 	memTier.put(memEntry{key: mk, conf: conf, src: src, size: size, val: rv.Elem().Interface()})
 }
 
-// Store writes the entry for (kind, key), replacing any previous one.
-// Disk failures are counted in Stats.IOErrors on top of being returned
-// — most callers drop store errors (the cache is best-effort), so the
-// counter is how repeated write failures stay visible.
+// Store appends the entry for (kind, key) to this handle's segment as
+// one record, superseding any earlier entry for the same (kind, key).
+// Disk failures are also counted in Stats.IOErrors: most callers drop
+// store errors (the cache is best-effort).
 func (s *Store) Store(kind, key, conf string, payload any) error {
-	if len(key) < 2 {
+	var kb [32]byte
+	if !decodeHexKey(key, &kb) {
 		return fmt.Errorf("cache: invalid key %q", key)
 	}
 	if err := faults.Fire(faults.CacheWrite, kind+"/"+key); err != nil {
@@ -679,75 +534,18 @@ func (s *Store) Store(kind, key, conf string, payload any) error {
 	if err != nil {
 		return fmt.Errorf("cache: marshal %s/%s: %w", kind, key, err)
 	}
-	data, err := json.Marshal(envelope{
-		Version: formatVersion,
-		SHA256:  key,
-		Conf:    conf,
-		Payload: raw,
-	})
+	rec, err := appendRecord(nil, kind, &kb, conf, packCodecJSON, raw)
 	if err != nil {
-		return fmt.Errorf("cache: marshal envelope: %w", err)
+		return err
 	}
-	path := s.path(kind, key)
-	mu := &s.shardMu[stripeOf(key[:2])]
-	mu.Lock()
-	defer mu.Unlock()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := s.append(segKey{kind, kb}, rec); err != nil {
 		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: %w", err)
-	}
-	sweepStaleTemps(filepath.Dir(path))
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp-*")
-	if err != nil {
-		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: write %s: %w", path, werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.ioErrors.Add(1)
-		return fmt.Errorf("cache: %w", err)
+		return fmt.Errorf("cache: write %s/%s: %w", kind, key, err)
 	}
 	// Drop any memory copy: the tier is read-through, so the next Load
 	// re-validates from disk and promotes the fresh payload.
 	memTier.del(s.memKey(kind, key))
 	s.stores.Add(1)
-	s.storedBytes.Add(uint64(len(data)))
+	s.storedBytes.Add(uint64(len(rec)))
 	return nil
-}
-
-// staleTempAge is how old an abandoned temp file must be before a
-// writer sweeps it: long enough that no live writer (create→rename is
-// milliseconds) can be racing on it.
-const staleTempAge = time.Hour
-
-// sweepStaleTemps removes temp files orphaned by crashed writers from
-// one shard directory, so a long-lived store does not accumulate dead
-// files. Best-effort and O(shard): writers are the only thing that
-// creates temps, so sweeping where we are about to write is enough.
-func sweepStaleTemps(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, ".") || !strings.Contains(name, ".tmp-") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil || time.Since(info.ModTime()) < staleTempAge {
-			continue
-		}
-		_ = os.Remove(filepath.Join(dir, name))
-	}
 }

@@ -3,15 +3,12 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 type payload struct {
@@ -25,6 +22,37 @@ func testKey(t *testing.T, s string) string {
 	t.Helper()
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:])
+}
+
+// segments lists the segment files under a cache directory.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, segDirName, "*"+segExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// onlySegment returns the one segment under dir.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	paths := segments(t, dir)
+	if len(paths) != 1 {
+		t.Fatalf("want one segment, found %v", paths)
+	}
+	return paths[0]
+}
+
+// fresh opens a new handle on dir with the memory tier off, the view
+// of a process that starts after what came before.
+func fresh(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.DisableMemoryTier()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -86,34 +114,35 @@ func TestCorruptAndTruncatedEntriesIgnored(t *testing.T) {
 	if err := s.Store("interface", key, "conf", payload{Name: "libm.so"}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "interface", key[:2], key+".json")
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out payload
 
-	// Truncated file: load must miss, not fail.
+	// Truncated segment: a fresh handle must miss, not fail.
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if fresh(t, dir).Load("interface", key, "conf", &out) {
 		t.Fatal("truncated entry served")
 	}
 
-	// Garbage file: same.
-	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
+	// Garbage segment: same.
+	if err := os.WriteFile(path, []byte("not a record at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s.Load("interface", key, "conf", &out) {
+	s2 := fresh(t, dir)
+	if s2.Load("interface", key, "conf", &out) {
 		t.Fatal("corrupt entry served")
 	}
 
 	// The entry can be re-stored and served again.
-	if err := s.Store("interface", key, "conf", payload{Name: "libm.so"}); err != nil {
+	if err := s2.Store("interface", key, "conf", payload{Name: "libm.so"}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Load("interface", key, "conf", &out) || out.Name != "libm.so" {
+	if !fresh(t, dir).Load("interface", key, "conf", &out) || out.Name != "libm.so" {
 		t.Fatalf("re-store failed: %+v", out)
 	}
 }
@@ -128,32 +157,43 @@ func TestHashMismatchBustsEntry(t *testing.T) {
 	if err := s.Store("interface", key, "conf", payload{Name: "libz.so"}); err != nil {
 		t.Fatal(err)
 	}
-	// Tamper with the recorded hash: the file no longer describes the
-	// image it is filed under.
-	path := filepath.Join(dir, "interface", key[:2], key+".json")
+	// Re-key the record, CRC and all: it is intact, but it no longer
+	// describes the image it was stored for.
+	other := testKey(t, "other-image")
+	var okb [32]byte
+	decodeHexKey(other, &okb)
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(data), key, testKey(t, "other-image"), 1)
-	if tampered == string(data) {
-		t.Fatal("tampering had no effect")
+	r, ok := parseRecord(data)
+	if !ok {
+		t.Fatal("stored record does not parse")
 	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+	rekeyed, err := appendRecord(nil, string(r.kind), &okb, string(r.conf), r.codec, r.payload)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, rekeyed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := fresh(t, dir)
 	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if s2.Load("interface", key, "conf", &out) {
 		t.Fatal("hash-mismatched entry served")
 	}
-	// The bust is permanent until a re-store overwrites the entry.
-	if s.Load("interface", key, "conf", &out) {
+	// The bust is permanent until a re-store supersedes the entry.
+	if s2.Load("interface", key, "conf", &out) {
 		t.Fatal("hash-mismatched entry served on retry")
 	}
-	if err := s.Store("interface", key, "conf", payload{Name: "libz.so"}); err != nil {
+	if !s2.Load("interface", other, "conf", &out) {
+		t.Fatal("the record is served under the key it carries")
+	}
+	if err := s2.Store("interface", key, "conf", payload{Name: "libz.so"}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Load("interface", key, "conf", &out) || out.Name != "libz.so" {
+	if !s2.Load("interface", key, "conf", &out) || out.Name != "libz.so" {
 		t.Fatalf("re-store did not repair the busted entry: %+v", out)
 	}
 }
@@ -165,17 +205,21 @@ func TestVersionSkewIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey(t, "image-5")
-	raw, _ := json.Marshal(payload{Name: "old"})
-	env, _ := json.Marshal(envelope{Version: formatVersion + 1, SHA256: key, Conf: "conf", Payload: raw})
-	path := filepath.Join(dir, "interface", key[:2], key+".json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := s.Store("interface", key, "conf", payload{Name: "future"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, env, 0o644); err != nil {
+	// A record framed by a later format version: the magic carries it.
+	path := onlySegment(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "BSR2")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out payload
-	if s.Load("interface", key, "conf", &out) {
+	if fresh(t, dir).Load("interface", key, "conf", &out) {
 		t.Fatal("future-version entry served")
 	}
 }
@@ -229,103 +273,68 @@ func TestShortKeyRejected(t *testing.T) {
 	if err := s.Store("interface", "", "conf", payload{}); err == nil {
 		t.Fatal("empty key accepted")
 	}
+	if err := s.Store("interface", "not-a-sha256-key", "conf", payload{}); err == nil {
+		t.Fatal("non-hex key accepted")
+	}
 	var out payload
 	if s.Load("interface", "x", "conf", &out) {
 		t.Fatal("short key hit")
 	}
 }
 
-func TestStaleTempFilesSwept(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(t, "image-7")
-	shard := filepath.Join(dir, "interface", key[:2])
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// An orphan from a crashed writer, long dead.
-	stale := filepath.Join(shard, "."+key+".tmp-123")
-	if err := os.WriteFile(stale, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh orphan that could still belong to a live writer.
-	fresh := filepath.Join(shard, "."+key+".tmp-456")
-	if err := os.WriteFile(fresh, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// --- on-disk format and the memory tier -------------------------------
 
-	if err := s.Store("interface", key, "conf", payload{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale temp file not swept")
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Fatal("fresh temp file must survive the sweep")
-	}
-	var out payload
-	if !s.Load("interface", key, "conf", &out) {
-		t.Fatal("entry unusable after sweep")
-	}
-}
-
-// --- two-tier store: compact codec, legacy reads, memory tier ----------
-
+// TestCompactEnvelopeOnDisk: the framing around each payload on disk
+// is one segment record — no JSON envelope, the payload JSON written
+// once — and StoredBytes counts exactly the bytes written.
 func TestCompactEnvelopeOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := testKey(t, "image-compact")
-	if err := s.Store("interface", key, "conf", payload{Name: "libc.so", Syscalls: []uint64{1, 2}}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		in := payload{Name: fmt.Sprintf("libc-%d", i), Syscalls: []uint64{1, 2}}
+		if err := s.Store("interface", testKey(t, fmt.Sprintf("image-rec-%d", i)), "conf", in); err != nil {
+			t.Fatal(err)
+		}
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "interface", key[:2], key+".json"))
+	// One handle, one segment; every entry one record.
+	data, err := os.ReadFile(onlySegment(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.ContainsAny(string(data), "\n ") {
-		t.Fatalf("envelope not compact: %q", data)
-	}
-	if !strings.Contains(string(data), `"version":2`) {
-		t.Fatalf("envelope not version-bumped: %q", data)
-	}
 	if st := s.Stats(); st.StoredBytes != uint64(len(data)) {
-		t.Fatalf("StoredBytes = %d, file is %d bytes", st.StoredBytes, len(data))
+		t.Fatalf("StoredBytes = %d, segment is %d bytes", st.StoredBytes, len(data))
+	}
+	n := 0
+	scanRecords(data, true, func(_, _ int, r record) {
+		if want := fmt.Sprintf(`{"name":"libc-%d","syscalls":[1,2]}`, n); string(r.payload) != want {
+			t.Errorf("record %d payload %q, want %q", n, r.payload, want)
+		}
+		n++
+	})
+	if n != 3 {
+		t.Fatalf("%d records in the segment, want 3", n)
 	}
 }
 
-func TestLegacyEnvelopeStillReadable(t *testing.T) {
+func TestLooseJSONEntriesIgnored(t *testing.T) {
+	// The per-entry JSON files of earlier releases are not read: an
+	// upgraded cache recomputes once.
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(t, "image-legacy")
-	want := payload{Name: "old-format", Syscalls: []uint64{0, 60}}
-	raw, _ := json.Marshal(want)
-	env, _ := json.MarshalIndent(envelope{Version: legacyVersion, SHA256: key, Conf: "conf", Payload: raw}, "", "  ")
+	key := testKey(t, "image-loose")
 	path := filepath.Join(dir, "interface", key[:2], key+".json")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, env, 0o644); err != nil {
+	env := fmt.Sprintf(`{"version":2,"sha256":%q,"conf":"conf","payload":{"name":"old"}}`, key)
+	if err := os.WriteFile(path, []byte(env), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out payload
-	if !s.Load("interface", key, "conf", &out) {
-		t.Fatal("legacy pretty-printed v1 envelope must stay readable")
-	}
-	if !reflect.DeepEqual(out, want) {
-		t.Fatalf("legacy round trip: %+v vs %+v", out, want)
+	if fresh(t, dir).Load("interface", key, "conf", &out) {
+		t.Fatal("loose JSON entry served")
 	}
 }
 
@@ -345,10 +354,9 @@ func TestMemoryTierServesPromotedEntries(t *testing.T) {
 		t.Fatal("first load must hit disk")
 	}
 	// The first load promoted the payload: the second is a memory hit
-	// (the file only gets a stat, never a read — corrupting it in
+	// (the segment only gets a stat, never a read — corrupting it in
 	// place must not matter while it exists).
-	path := filepath.Join(dir, "interface", key[:2], key+".json")
-	if err := os.WriteFile(path, []byte("unread garbage"), 0o644); err != nil {
+	if err := os.WriteFile(onlySegment(t, dir), []byte("unread garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out = payload{}

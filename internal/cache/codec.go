@@ -2,27 +2,20 @@ package cache
 
 import "sync"
 
-// PackCodec is the bridge between the JSON loose tier and the binary
-// pack tier for one entry kind. The cache package cannot know the
-// payload types it stores (internal/shared and internal/ident import
-// this package, not the other way around), so the packages that own a
-// payload register a codec at init time and compaction consults the
-// registry per kind.
+// PackCodec is the binary pack encoding of one entry kind, registered
+// at init time by the package that owns the payload type (shared and
+// ident import this package, not the other way around).
 //
-// EncodeJSON re-encodes one loose JSON payload into the codec's
-// versioned binary form. It is only called at compaction time (never on
-// a hot path) and must be conservative: any payload it does not fully
+// EncodeJSON re-encodes one JSON payload into the codec's versioned
+// binary form at compaction time. Any payload it does not fully
 // understand — unknown fields, shapes that would not round-trip
-// byte-identically — must return ok=false, in which case the entry is
-// packed as raw JSON instead. Correctness over compactness.
+// byte-identically — must return ok=false, and the entry is packed as
+// raw JSON instead.
 //
-// Decode decodes a binary payload produced by EncodeJSON into out,
-// which is the same pointer a Load caller handed the store. It runs on
-// the probe path against bytes that alias a read-only mapping, so it
-// must not retain or mutate data. A type mismatch (out is not the type
-// this payload encodes) or any malformed input returns false, which the
-// store treats as a pack miss — the probe falls through to the loose
-// tier or a recompute, never to a wrong answer.
+// Decode decodes a binary payload into out, the pointer a Load caller
+// handed the store, without retaining or mutating data (it aliases a
+// read-only mapping). A type mismatch or malformed input returns
+// false, which the store treats as a miss — never a wrong answer.
 type PackCodec interface {
 	EncodeJSON(payload []byte) ([]byte, bool)
 	Decode(data []byte, out any) bool

@@ -1,48 +1,32 @@
 package cache
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // CompactStats describes one Compact run.
 type CompactStats struct {
-	// Packed is the entry count of the new pack.
-	Packed int `json:"packed"`
-	// FromLoose and FromPacks split Packed by origin: loose JSON
-	// envelopes absorbed, and entries carried over from superseded
-	// packs.
-	FromLoose int `json:"from_loose"`
-	FromPacks int `json:"from_packs"`
-	// BinaryEncoded counts packed entries whose payload a registered
-	// PackCodec re-encoded into its binary form; the rest are raw JSON.
+	Packed int `json:"packed"` // entries in the new pack
+	// FromSegments and FromPacks split Packed by origin.
+	FromSegments int `json:"from_segments"`
+	FromPacks    int `json:"from_packs"`
+	// BinaryEncoded counts entries a registered PackCodec re-encoded;
+	// the rest stay raw JSON.
 	BinaryEncoded int `json:"binary_encoded"`
-	// SkippedLoose counts loose files left in place: unreadable,
-	// failing envelope validation, or keyed by something that is not a
-	// hex SHA-256 (packs index raw 32-byte keys).
-	SkippedLoose int `json:"skipped_loose"`
-	// PrunedLoose and PrunedPacks count files deleted after the new
+	// SkippedSegments counts segments left in place: held by a live
+	// writer, or unreadable.
+	SkippedSegments int `json:"skipped_segments"`
+	// PrunedSegments and PrunedPacks count files deleted once the new
 	// pack was installed.
-	PrunedLoose int `json:"pruned_loose"`
-	PrunedPacks int `json:"pruned_packs"`
-	// PackPath is the new pack file ("" when there was nothing to
-	// pack), PackBytes its size.
-	PackPath  string `json:"pack_path,omitempty"`
-	PackBytes int64  `json:"pack_bytes"`
-}
-
-// GCStats describes one GC run.
-type GCStats struct {
-	// PrunedLoose counts loose files deleted because an open pack holds
-	// the identical (kind, key, conf) entry.
-	PrunedLoose int `json:"pruned_loose"`
-	// KeptLoose counts loose files retained (no pack entry, or newer
-	// conf than the packed one).
-	KeptLoose int `json:"kept_loose"`
+	PrunedSegments int    `json:"pruned_segments"`
+	PrunedPacks    int    `json:"pruned_packs"`
+	PackPath       string `json:"pack_path,omitempty"` // "" when nothing was packed
+	PackBytes      int64  `json:"pack_bytes"`
 }
 
 // packsDir is where a store's pack files live.
@@ -50,326 +34,206 @@ func (s *Store) packsDir() string { return filepath.Join(s.dir, packDirName) }
 
 // Packs returns the paths of the currently open pack files.
 func (s *Store) Packs() []string {
-	ps := s.packs.Load()
-	if ps == nil {
-		return nil
-	}
-	out := make([]string, 0, len(*ps))
-	for _, p := range *ps {
+	var out []string
+	for _, p := range *s.packs.Load() {
 		out = append(out, p.path)
 	}
 	return out
 }
 
-// discoverPacks opens every pack under <dir>/packs/, newest name last
-// (names are content hashes, so order only matters for determinism).
-// Invalid packs are skipped: corruption is never fatal, the loose tier
-// still answers.
+// filesWithExt lists dir's entries ending in ext, as sorted paths.
+func filesWithExt(dir, ext string) []string {
+	ents, _ := os.ReadDir(dir)
+	var out []string
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ext) {
+			out = append(out, filepath.Join(dir, e.Name()))
+		}
+	}
+	return out
+}
+
+// discoverPacks opens every valid pack under <dir>/packs/, in name
+// order for determinism.
 func (s *Store) discoverPacks() {
-	entries, err := os.ReadDir(s.packsDir())
-	if err != nil {
-		return
-	}
-	var packs []*pack
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.Type().IsRegular() && strings.HasSuffix(e.Name(), packExt) {
-			names = append(names, e.Name())
+	packs := []*pack{}
+	for _, path := range filesWithExt(s.packsDir(), packExt) {
+		if p, err := openPack(path); err == nil {
+			packs = append(packs, p)
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		p, err := openPack(filepath.Join(s.packsDir(), name))
-		if err != nil {
-			continue
+	s.packs.Store(&packs)
+}
+
+// updatePacks atomically replaces the pack set with edit(current).
+// Superseded mappings are not unmapped — see the packs field doc.
+func (s *Store) updatePacks(edit func([]*pack) []*pack) {
+	for {
+		old := s.packs.Load()
+		if next := edit(*old); s.packs.CompareAndSwap(old, &next) {
+			return
 		}
-		packs = append(packs, p)
-	}
-	if len(packs) > 0 {
-		s.packs.Store(&packs)
 	}
 }
 
-// AttachPack opens one pack file (anywhere on disk — it does not have
-// to live under the store's directory) and adds it to the probe set.
-// This is the Options.PackPath hook: a fleet can build one pack
-// centrally and point every node's analyzer at it read-only.
+// AttachPack opens one pack file, anywhere on disk, and adds it to the
+// probe set: a fleet can build one pack centrally and point every
+// node's analyzer at it read-only (Options.PackPath).
 func (s *Store) AttachPack(path string) error {
 	p, err := openPack(path)
 	if err != nil {
 		return err
 	}
-	for {
-		old := s.packs.Load()
-		var next []*pack
-		if old != nil {
-			next = append(next, *old...)
-		}
-		next = append(next, p)
-		if s.packs.CompareAndSwap(old, &next) {
-			return nil
-		}
-	}
+	s.updatePacks(func(cur []*pack) []*pack { return append(cur[:len(cur):len(cur)], p) })
+	return nil
 }
 
-// dropPack removes one pack from the probe set (its backing file
-// vanished). The mapping is intentionally not unmapped — concurrent
-// probes may hold the old snapshot; see the packs field doc.
+// dropPack removes one pack, whose backing file vanished, from the
+// probe set.
 func (s *Store) dropPack(victim *pack) {
-	for {
-		old := s.packs.Load()
-		if old == nil {
-			return
-		}
-		next := make([]*pack, 0, len(*old))
-		for _, p := range *old {
-			if p != victim {
-				next = append(next, p)
-			}
-		}
-		if len(next) == len(*old) {
-			return
-		}
-		if s.packs.CompareAndSwap(old, &next) {
-			return
-		}
-	}
+	s.updatePacks(func(cur []*pack) []*pack {
+		return slices.DeleteFunc(slices.Clone(cur), func(p *pack) bool { return p == victim })
+	})
 }
 
-// looseEntry is one validated loose file headed into a compaction.
-type looseEntry struct {
-	ent  packEntry
-	path string
-}
-
-// collectLoose walks the loose tier and returns every entry that can
-// enter a pack, plus the count of files it had to leave in place.
-// Entries are validated exactly as Load would (envelope version, sha
-// field against the file name) — a file Load would reject must not be
-// laundered into a pack where it would start being served.
-func (s *Store) collectLoose() (loose []looseEntry, skipped int, err error) {
-	kinds, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cache: %w", err)
-	}
-	for _, kd := range kinds {
-		if !kd.IsDir() || kd.Name() == packDirName {
-			continue
-		}
-		kind := kd.Name()
-		codec := packCodecFor(kind)
-		shards, err := os.ReadDir(filepath.Join(s.dir, kind))
-		if err != nil {
-			continue
-		}
-		for _, sd := range shards {
-			if !sd.IsDir() {
-				continue
-			}
-			shardDir := filepath.Join(s.dir, kind, sd.Name())
-			files, err := os.ReadDir(shardDir)
-			if err != nil {
-				continue
-			}
-			for _, f := range files {
-				name := f.Name()
-				if !f.Type().IsRegular() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-					continue
-				}
-				key := strings.TrimSuffix(name, ".json")
-				e := packEntry{kind: kind}
-				if !decodeHexKey(key, &e.key) {
-					skipped++
-					continue
-				}
-				path := filepath.Join(shardDir, name)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					skipped++
-					continue
-				}
-				var env envelope
-				if err := json.Unmarshal(data, &env); err != nil ||
-					env.SHA256 != key ||
-					(env.Version != formatVersion && env.Version != legacyVersion) {
-					skipped++
-					continue
-				}
-				e.conf = env.Conf
-				e.codec = packCodecJSON
-				e.payload = env.Payload
-				if codec != nil {
-					if bin, ok := codec.EncodeJSON(env.Payload); ok {
-						e.codec = packCodecBinary
-						e.payload = bin
-					}
-				}
-				loose = append(loose, looseEntry{ent: e, path: path})
-			}
-		}
-	}
-	return loose, skipped, nil
-}
-
-// Compact folds the loose tier and any currently open packs into one
-// new pack file, installs it atomically in the probe set, and then
-// prunes what it absorbed: the loose files and the superseded pack
-// files. Readers are never caught between tiers — until the swap the
-// old tiers answer, after it the new pack does, and a probe holding
-// the old pack snapshot keeps a valid (deleted-but-mapped) view until
-// its next probe.
-//
-// Concurrent Stores are safe but may race the prune: an entry
-// re-written between the walk and the prune can lose its loose file.
-// That is a cache losing one entry — the next Load recomputes and
-// re-stores; never unsound.
+// Compact folds every sealed segment and the open packs into one new
+// pack, installs it atomically, and then deletes what it absorbed. It
+// first closes this handle's segments, sealing its own; a segment
+// another writer still holds is left for a later run.
+// Readers are never caught between tiers: until the swap the old
+// tiers answer, after it the new pack does.
 func (s *Store) Compact() (CompactStats, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
+	_ = s.Close() // read-only descriptors and the sealed own segment
 	var st CompactStats
 
-	loose, skipped, err := s.collectLoose()
-	if err != nil {
-		return st, err
-	}
-	st.SkippedLoose = skipped
-	seen := make(map[string]bool, len(loose))
-	entries := make([]packEntry, 0, len(loose))
-	for _, le := range loose {
-		entries = append(entries, le.ent)
-		seen[le.ent.kind+"\x00"+string(le.ent.key[:])+"\x00"+le.ent.conf] = true
-		if le.ent.codec == packCodecBinary {
-			st.BinaryEncoded++
+	// Entries are re-encoded with the kind's binary codec where it
+	// proves itself; exact (kind, key, conf) repeats are content-
+	// identical and enter once.
+	var entries []packEntry
+	seen := make(map[string]bool)
+	add := func(e packEntry) bool {
+		id := e.kind + "\x00" + string(e.key[:]) + "\x00" + e.conf
+		if seen[id] {
+			return false
 		}
-	}
-	st.FromLoose = len(loose)
-
-	// Carry over entries from the packs being superseded, loose copies
-	// winning (they are content-identical; the loose one is at worst
-	// fresher). JSON-codec entries get another shot at binary encoding
-	// in case a codec was registered since the old pack was built.
-	var oldPacks []*pack
-	if ps := s.packs.Load(); ps != nil {
-		oldPacks = *ps
-	}
-	for _, p := range oldPacks {
-		p.entries(func(kind, key, conf string, codec byte, payload []byte) {
-			var e packEntry
-			if !decodeHexKey(key, &e.key) {
-				return
-			}
-			if seen[kind+"\x00"+string(e.key[:])+"\x00"+conf] {
-				return
-			}
-			e.kind, e.conf, e.codec = kind, conf, codec
-			e.payload = payload
-			if codec == packCodecJSON {
-				if c := packCodecFor(kind); c != nil {
-					if bin, ok := c.EncodeJSON(payload); ok {
-						e.codec, e.payload = packCodecBinary, bin
-					}
+		seen[id] = true
+		if e.codec == packCodecJSON {
+			if c := packCodecFor(e.kind); c != nil {
+				if bin, ok := c.EncodeJSON(e.payload); ok {
+					e.codec, e.payload = packCodecBinary, bin
 				}
 			}
-			if e.codec == packCodecBinary {
-				st.BinaryEncoded++
+		}
+		if e.codec == packCodecBinary {
+			st.BinaryEncoded++
+		}
+		entries = append(entries, e)
+		return true
+	}
+
+	// A segment is absorbed only under its exclusive lock, taken before
+	// reading and held until the file is deleted: a live writer's
+	// segment is skipped, and a sealed one cannot grow behind the read.
+	absorbed := make(map[string]*os.File)
+	defer func() {
+		for _, f := range absorbed {
+			f.Close()
+		}
+	}()
+	for _, path := range filesWithExt(s.segDir(), segExt) {
+		f, err := os.Open(path)
+		if err != nil {
+			st.SkippedSegments++
+			continue
+		}
+		if !lockFile(f, true) {
+			f.Close()
+			st.SkippedSegments++
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Close()
+			st.SkippedSegments++
+			continue
+		}
+		absorbed[path] = f
+		scanRecords(data, true, func(_, _ int, r record) {
+			e := packEntry{kind: string(r.kind), conf: string(r.conf), codec: r.codec, payload: r.payload}
+			copy(e.key[:], r.key)
+			if add(e) {
+				st.FromSegments++
 			}
-			entries = append(entries, e)
-			st.FromPacks++
 		})
 	}
-	if len(entries) == 0 {
-		return st, nil
-	}
-
-	buf, err := buildPack(entries)
-	if err != nil {
-		return st, err
-	}
-	// buildPack dedups exact (kind, key, conf) repeats.
-	if err := os.MkdirAll(s.packsDir(), 0o755); err != nil {
-		return st, fmt.Errorf("cache: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.packsDir(), ".pack.tmp-*")
-	if err != nil {
-		return st, fmt.Errorf("cache: %w", err)
-	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return st, fmt.Errorf("cache: write pack: %w", werr)
-	}
-	// Content-addressed name: the body checksum the header already
-	// carries. Identical content compacts to the identical file.
-	path := filepath.Join(s.packsDir(), fmt.Sprintf("pack-%x%s", buf[48:60], packExt))
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		return st, fmt.Errorf("cache: %w", err)
-	}
-	np, err := openPack(path)
-	if err != nil {
-		// The pack we just wrote does not validate: something is badly
-		// wrong (disk?); leave the loose tier untouched.
-		_ = os.Remove(path)
-		return st, err
-	}
-	next := []*pack{np}
-	s.packs.Store(&next)
-	st.Packed = np.count
-	st.PackPath = path
-	st.PackBytes = int64(len(buf))
-
-	// Prune what the new pack absorbed. Failures here are harmless
-	// (the loose copy just survives alongside the pack).
-	for _, le := range loose {
-		if os.Remove(le.path) == nil {
-			st.PrunedLoose++
-		}
-	}
+	oldPacks := *s.packs.Load()
 	for _, p := range oldPacks {
-		if p.path != path && os.Remove(p.path) == nil {
+		p.entries(func(e packEntry) {
+			if add(e) {
+				st.FromPacks++
+			}
+		})
+	}
+	if len(entries) > 0 {
+		if err := s.writePack(entries, &st); err != nil {
+			return st, err
+		}
+	}
+
+	// A file surviving its deletion only duplicates what the pack serves.
+	s.segMu.Lock()
+	for path := range absorbed {
+		if seg := s.segs[path]; seg != nil {
+			s.dropSegment(seg)
+		}
+		if os.Remove(path) == nil {
+			st.PrunedSegments++
+		}
+	}
+	s.segMu.Unlock()
+	for _, p := range oldPacks {
+		if p.path != st.PackPath && os.Remove(p.path) == nil {
 			st.PrunedPacks++
 		}
 	}
 	return st, nil
 }
 
-// GC prunes loose files that an open pack already serves: for every
-// valid loose entry whose exact (kind, key, conf) is packed, the loose
-// file is redundant (entries are content-addressed — same key and
-// fingerprint, same payload). Loose entries the packs do not cover are
-// kept. Also sweeps abandoned temp files out of the packs directory.
-func (s *Store) GC() (GCStats, error) {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	var st GCStats
-	var packs []*pack
-	if ps := s.packs.Load(); ps != nil {
-		packs = *ps
-	}
-	loose, skipped, err := s.collectLoose()
+// writePack builds the pack from entries, writes it under its
+// content-addressed name, and installs it as the store's only pack.
+func (s *Store) writePack(entries []packEntry, st *CompactStats) error {
+	buf, err := buildPack(entries)
 	if err != nil {
-		return st, err
+		return err
 	}
-	st.KeptLoose = skipped
-	for _, le := range loose {
-		key := fmt.Sprintf("%x", le.ent.key)
-		packed := false
-		for _, p := range packs {
-			if _, _, _, ok := p.probe(le.ent.kind, key, le.ent.conf, false); ok {
-				packed = true
-				break
-			}
-		}
-		if packed && os.Remove(le.path) == nil {
-			st.PrunedLoose++
-		} else {
-			st.KeptLoose++
-		}
+	if err := os.MkdirAll(s.packsDir(), 0o755); err != nil {
+		return fmt.Errorf("cache: %w", err)
 	}
-	sweepStaleTemps(s.packsDir())
-	return st, nil
+	tmp, err := os.CreateTemp(s.packsDir(), ".pack.tmp-*")
+	if err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	_, err = tmp.Write(buf)
+	if err = errors.Join(err, tmp.Close()); err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("cache: write pack: %w", err)
+	}
+	// Named by the body checksum: identical content, identical file.
+	path := filepath.Join(s.packsDir(), fmt.Sprintf("pack-%x%s", buf[48:60], packExt))
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		_ = os.Remove(tmp.Name())
+		return fmt.Errorf("cache: %w", err)
+	}
+	np, err := openPack(path)
+	if err != nil {
+		// The pack just written does not validate: leave the segments.
+		_ = os.Remove(path)
+		return err
+	}
+	next := []*pack{np}
+	s.packs.Store(&next)
+	st.Packed, st.PackPath, st.PackBytes = np.count, path, int64(len(buf))
+	return nil
 }

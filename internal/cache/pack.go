@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"sort"
@@ -12,10 +11,10 @@ import (
 	"bside/internal/elff"
 )
 
-// The pack tier: loose JSON envelopes compacted into one immutable,
+// The pack tier: segment records compacted into one immutable,
 // content-addressed file that warm processes memory-map read-only and
-// probe by binary search — no per-entry open(), no envelope decode,
-// and (for kinds with a registered PackCodec) no payload JSON either.
+// probe by binary search — no per-entry read, and (for kinds with a
+// registered PackCodec) no payload JSON either.
 //
 // File layout (all integers little-endian):
 //
@@ -42,11 +41,9 @@ import (
 //	payloads: per entry u32 length + bytes
 //
 // The whole-file checksum makes corruption detection O(size) at open
-// rather than per-probe: a truncated or bit-flipped pack fails to open
-// and the store silently runs without it — the loose tier or a
-// recompute answers instead, never a ghost. Record sortedness and every
-// offset are validated at open too, so the probe path can binary-search
-// and slice without re-checking bounds.
+// rather than per-probe: a damaged pack fails to open and the store
+// runs without it. Sortedness and every offset are validated at open
+// too, so the probe path binary-searches without re-checking bounds.
 const (
 	packMagic      = "BSPK"
 	packFormat     = 1
@@ -56,8 +53,7 @@ const (
 	packCodecJSON   = 0
 	packCodecBinary = 1
 
-	// packDirName is the subdirectory of a store where pack files live,
-	// excluded from the loose-tier directory walk.
+	// packDirName is the subdirectory of a store where pack files live.
 	packDirName = "packs"
 	packExt     = ".pack"
 )
@@ -75,10 +71,8 @@ type pack struct {
 	mapped bool
 }
 
-// openPack maps and fully validates one pack file. Any defect —
-// truncation, a failed checksum, unsorted records, an offset outside
-// its region — is an error; the caller treats it as "this pack does
-// not exist".
+// openPack maps and fully validates one pack file; any defect is an
+// error, and the caller treats the pack as absent.
 func openPack(path string) (*pack, error) {
 	img, err := elff.OpenMapped(path)
 	if err != nil {
@@ -211,8 +205,7 @@ func packRecCompare(a, b []byte, data []byte) int {
 }
 
 // kindID resolves a kind name against the pack's kind table (-1 when
-// the pack holds no entries of that kind). Linear: the table has at
-// most a handful of kinds.
+// absent); linear, as the table has a handful of kinds.
 func (p *pack) kindID(kind string) int {
 	for i, k := range p.kinds {
 		if k == kind {
@@ -223,8 +216,7 @@ func (p *pack) kindID(kind string) int {
 }
 
 // decodeHexKey decodes a 64-char lowercase-hex key into dst without
-// allocating. Keys that are not canonical hex SHA-256 strings never
-// enter a pack, so a malformed key is simply "not found".
+// allocating; the store accepts no other keys.
 func decodeHexKey(key string, dst *[32]byte) bool {
 	if len(key) != 64 {
 		return false
@@ -251,10 +243,8 @@ func hexNibble(c byte) int {
 }
 
 // probe binary-searches the pack for (kind, key) and returns the first
-// record whose conf fingerprint is acceptable: the exact conf when
-// anyConf is false, or whatever is stored (LoadAny) when true. The
-// returned payload aliases the mapping and must be decoded, not
-// retained. Allocation-free on the Load path.
+// record with the exact conf, or any conf when anyConf. The payload
+// aliases the mapping. Allocation-free on the Load path.
 func (p *pack) probe(kind, key, conf string, anyConf bool) (gotConf string, codec byte, payload []byte, ok bool) {
 	kid := p.kindID(kind)
 	if kid < 0 {
@@ -289,13 +279,14 @@ func (p *pack) probe(kind, key, conf string, anyConf bool) (gotConf string, code
 	return "", 0, nil, false
 }
 
-// entries iterates every record in the pack, handing the callback views
-// into the mapping (kind, hex key, conf, codec, payload). Used by
-// compaction to carry an old pack's entries into its successor.
-func (p *pack) entries(fn func(kind, key, conf string, codec byte, payload []byte)) {
+// entries hands compaction every record of the pack, payloads aliasing
+// the mapping.
+func (p *pack) entries(fn func(packEntry)) {
 	for i := 0; i < p.count; i++ {
 		r := p.rec(i)
-		fn(p.kinds[r[38]], hex.EncodeToString(r[0:32]), string(p.recConf(r)), r[39], p.recPayload(r))
+		e := packEntry{kind: p.kinds[r[38]], conf: string(p.recConf(r)), codec: r[39], payload: p.recPayload(r)}
+		copy(e.key[:], r[0:32])
+		fn(e)
 	}
 }
 
@@ -310,10 +301,9 @@ type packEntry struct {
 
 // buildPack serializes entries into pack-file bytes: entries are sorted
 // by (kind, key, conf), exact duplicates collapse to the first
-// occurrence (callers order loose before carried-over pack entries, so
-// the freshest copy wins — they are content-identical anyway), conf
-// fingerprints are deduplicated into the string blob, and the trailing
-// checksum region is hashed last.
+// occurrence (they are content-identical), conf fingerprints are
+// deduplicated into the string blob, and the trailing checksum region
+// is hashed last.
 func buildPack(entries []packEntry) ([]byte, error) {
 	// Kind table in first-seen-sorted order.
 	kindSet := map[string]bool{}

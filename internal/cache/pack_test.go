@@ -29,25 +29,6 @@ func populate(t *testing.T, s *Store, kind string, n int, confFor func(int) stri
 
 func constConf(string) func(int) string { return func(int) string { return "conf" } }
 
-// looseFiles counts the loose .json entries under dir.
-func looseFiles(t *testing.T, dir string) int {
-	t.Helper()
-	n := 0
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.Type().IsRegular() && strings.HasSuffix(path, ".json") && !strings.Contains(path, packDirName) {
-			n++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
-
 func TestPackRoundTripAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -61,11 +42,12 @@ func TestPackRoundTripAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Packed != 16 || cs.FromLoose != 16 {
+	if cs.Packed != 16 || cs.FromSegments != 16 {
 		t.Fatalf("compact stats: %+v", cs)
 	}
-	if cs.PrunedLoose != 16 || looseFiles(t, dir) != 0 {
-		t.Fatalf("loose tier not pruned: %+v (%d files left)", cs, looseFiles(t, dir))
+	// The handle's own segment was sealed by Compact and absorbed.
+	if cs.PrunedSegments != 1 || len(segments(t, dir)) != 0 {
+		t.Fatalf("segments not pruned: %+v (%v left)", cs, segments(t, dir))
 	}
 
 	// A fresh handle (fresh process) must discover the pack and serve
@@ -127,7 +109,7 @@ func TestPackHitPromotesToMemoryTier(t *testing.T) {
 	}
 }
 
-func TestPackConfMismatchFallsThroughToLoose(t *testing.T) {
+func TestPackConfMismatchFallsThroughToSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -151,13 +133,13 @@ func TestPackConfMismatchFallsThroughToLoose(t *testing.T) {
 	if s2.Load("program", key, "conf-new", &out) {
 		t.Fatal("pack entry served across conf fingerprints")
 	}
-	// The retuned analyzer recomputes and stores loose; the loose entry
-	// must win over the still-packed old-conf one.
+	// The retuned analyzer recomputes into a segment; that entry must
+	// win over the still-packed old-conf one.
 	if err := s2.Store("program", key, "conf-new", payload{Name: "new"}); err != nil {
 		t.Fatal(err)
 	}
 	if !s2.Load("program", key, "conf-new", &out) || out.Name != "new" {
-		t.Fatalf("fresh loose entry not served: %+v", out)
+		t.Fatalf("fresh segment entry not served: %+v", out)
 	}
 	// The old conf still resolves from the pack (a mixed-config fleet
 	// sharing one cache keeps both).
@@ -199,7 +181,7 @@ func TestCorruptPackRejectedAtOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A fresh handle must refuse the damaged pack entirely; with
-			// the loose tier compacted away, loads are misses (the caller
+			// the segments compacted away, loads are misses (the caller
 			// recomputes) — never a decode of corrupt bytes.
 			s2, err := Open(dir)
 			if err != nil {
@@ -213,7 +195,7 @@ func TestCorruptPackRejectedAtOpen(t *testing.T) {
 			if s2.Load("interface", keys[0], "conf", &out) {
 				t.Fatal("load served from a corrupt pack")
 			}
-			// Recompute-and-store repopulates loose; the next Compact
+			// Recompute-and-store lands in a segment; the next Compact
 			// rebuilds a healthy pack over it.
 			if err := s2.Store("interface", keys[0], "conf", payload{Name: "recomputed"}); err != nil {
 				t.Fatal(err)
@@ -300,7 +282,7 @@ func TestConcurrentReadersDuringCompaction(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCompactCarriesOldPackAndLegacyEnvelopes(t *testing.T) {
+func TestCompactCarriesOldPack(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -310,111 +292,34 @@ func TestCompactCarriesOldPackAndLegacyEnvelopes(t *testing.T) {
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// New loose entries after the first pack: one modern, one rewritten
-	// as a pretty-printed v1 envelope (the pre-compaction format a
-	// long-lived fleet cache still holds).
-	secondKey := testKey(t, "post-pack-image")
-	if err := s.Store("interface", secondKey, "conf", payload{Name: "second"}); err != nil {
-		t.Fatal(err)
-	}
-	legacyKey := testKey(t, "legacy-image")
-	if err := s.Store("interface", legacyKey, "conf", payload{Name: "legacy"}); err != nil {
-		t.Fatal(err)
-	}
-	legacyPath := s.path("interface", legacyKey)
-	legacy := fmt.Sprintf("{\n  \"version\": 1,\n  \"sha256\": %q,\n  \"conf\": \"conf\",\n  \"payload\": {\"name\": \"legacy\"}\n}\n", legacyKey)
-	if err := os.WriteFile(legacyPath, []byte(legacy), 0o644); err != nil {
+	// New entries after the first pack land in a new segment, plus one
+	// re-store of an already packed entry: it enters the pack once.
+	second := populate(t, s, "program", 2, constConf(""))
+	if err := s.Store("interface", first[0], "conf", payload{Name: "interface-0", Syscalls: []uint64{0, 7}}); err != nil {
 		t.Fatal(err)
 	}
 	cs, err := s.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.FromPacks != 2 || cs.FromLoose != 2 || cs.Packed != 4 || cs.PrunedPacks != 1 {
+	if cs.FromPacks != 1 || cs.FromSegments != 3 || cs.Packed != 4 || cs.PrunedPacks != 1 || cs.PrunedSegments != 1 {
 		t.Fatalf("second compact stats: %+v", cs)
 	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.DisableMemoryTier()
-	for _, key := range []string{first[0], first[1], secondKey, legacyKey} {
+	s2 := fresh(t, dir)
+	for _, key := range first {
 		var out payload
 		if !s2.Load("interface", key, "conf", &out) {
 			t.Fatalf("entry %s lost across re-compaction", key[:8])
 		}
 	}
+	for _, key := range second {
+		var out payload
+		if !s2.Load("program", key, "conf", &out) {
+			t.Fatalf("entry %s lost across re-compaction", key[:8])
+		}
+	}
 	if st := s2.Stats(); st.Packs != 1 || st.PackHits != 4 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestGCPrunesOnlyPackedLoose(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed := populate(t, s, "interface", 3, constConf(""))
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Re-store one packed key (same conf — content-addressed, same
-	// payload) plus one brand-new key: GC may prune the former, must
-	// keep the latter.
-	if err := s.Store("interface", packed[0], "conf", payload{Name: "interface-0", Syscalls: []uint64{0, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	fresh := testKey(t, "fresh-after-pack")
-	if err := s.Store("interface", fresh, "conf", payload{Name: "fresh"}); err != nil {
-		t.Fatal(err)
-	}
-	gs, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.PrunedLoose != 1 || gs.KeptLoose != 1 {
-		t.Fatalf("gc stats: %+v", gs)
-	}
-	var out payload
-	if !s.Load("interface", fresh, "conf", &out) || out.Name != "fresh" {
-		t.Fatal("gc pruned an unpacked entry")
-	}
-	if !s.Load("interface", packed[0], "conf", &out) {
-		t.Fatal("gc broke a packed entry")
-	}
-}
-
-func TestCollectLooseSkipsForeignKeys(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A valid entry under a key that is not hex SHA-256: packs index
-	// raw 32-byte keys, so it must stay loose and keep working.
-	if err := s.Store("interface", "not-a-hash-key", "conf", payload{Name: "odd"}); err != nil {
-		t.Fatal(err)
-	}
-	keys := populate(t, s, "interface", 1, constConf(""))
-	cs, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Packed != 1 || cs.SkippedLoose != 1 {
-		t.Fatalf("compact stats: %+v", cs)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.DisableMemoryTier()
-	var out payload
-	if !s2.Load("interface", "not-a-hash-key", "conf", &out) || out.Name != "odd" {
-		t.Fatal("foreign-key entry lost by compaction")
-	}
-	if !s2.Load("interface", keys[0], "conf", &out) {
-		t.Fatal("packed entry not served")
 	}
 }
 

@@ -3,11 +3,9 @@ package cache
 import "encoding/binary"
 
 // PayloadReader is a bounds-checked cursor over one pack codec
-// payload, shared by the PackCodec implementations (the cache package
-// cannot host the codecs themselves — the payload-owning packages
-// import cache, not vice versa). Any out-of-bounds or malformed read
-// poisons the reader; codecs check Done at the end and fail the decode
-// as a whole, which the probe path treats as a pack miss.
+// payload, shared by the PackCodec implementations. Any out-of-bounds
+// or malformed read poisons the reader; codecs check Done at the end
+// and fail the decode as a whole, which the probe treats as a miss.
 type PayloadReader struct {
 	data []byte
 	pos  int

@@ -15,8 +15,9 @@
 //   - invariance: analysis results are byte-identical across
 //     intra-binary worker counts, per-function memoization on vs. off,
 //     cache cold vs. warm runs, the cache's in-process memory tier on
-//     vs. off, compact vs. legacy (version-1 pretty-printed) envelope
-//     reads, and the direct vs. batch public API paths;
+//     vs. off, segment vs. pack reads, recomputes past a corrupt
+//     segment record or pack, and the direct vs. batch public API
+//     paths;
 //   - baseline sanity: the Chestnut and SysFilter reimplementations
 //     fail only in their documented modes (static images, missing
 //     unwind metadata).

@@ -3,17 +3,16 @@ package fuzzer
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"bside"
 	"bside/internal/baseline"
@@ -272,7 +271,11 @@ func (o *Oracle) Check(c Case) *Verdict {
 			}).AnalyzeFile(binPath)
 		}},
 		leg{"cache-cold", func() (*bside.Analysis, error) {
-			return analyzer(1, cacheDir).AnalyzeFile(binPath)
+			// Closing seals the segment the run stored into, so the pack
+			// leg below can absorb it.
+			a := analyzer(1, cacheDir)
+			defer a.Close()
+			return a.AnalyzeFile(binPath)
 		}},
 		leg{"cache-warm", func() (*bside.Analysis, error) {
 			res, err := analyzer(1, cacheDir).AnalyzeFile(binPath)
@@ -282,11 +285,8 @@ func (o *Oracle) Check(c Case) *Verdict {
 			return res, err
 		}},
 		// Frontend-invariance axis, cache side: the in-process memory
-		// tier and the envelope codec must be invisible in results. The
-		// nomem leg re-reads the warm entries from disk with the memory
-		// tier off; the legacy leg first rewrites every envelope into
-		// the pretty-printed version-1 format of earlier releases and
-		// requires the compact-codec reader to serve them identically.
+		// tier must be invisible in results. The nomem leg re-reads the
+		// warm entries from the segments with the memory tier off.
 		leg{"cache-nomem", func() (*bside.Analysis, error) {
 			res, err := bside.NewAnalyzer(bside.Options{
 				LibraryDir:        o.opts.Universe.Dir,
@@ -299,26 +299,36 @@ func (o *Oracle) Check(c Case) *Verdict {
 			}
 			return res, err
 		}},
-		leg{"cache-legacy", func() (*bside.Analysis, error) {
-			if err := downgradeCacheEnvelopes(cacheDir); err != nil {
+		// Corruption axis, segment side: one flipped byte inside the
+		// program entry's segment record must fail that record's CRC on
+		// its own — the analyzer recomputes (still served the intact
+		// records around it) and produces the identical fingerprint,
+		// never a result decoded from damaged bytes. Closing seals the
+		// recompute's segment for the pack leg.
+		leg{"cache-segment-corrupt", func() (*bside.Analysis, error) {
+			if err := flipSegmentRecord(cacheDir, bin.Hash); err != nil {
 				return nil, err
 			}
-			res, err := bside.NewAnalyzer(bside.Options{
+			a, err := bside.NewAnalyzerErr(bside.Options{
 				LibraryDir:        o.opts.Universe.Dir,
 				IntraWorkers:      1,
 				CacheDir:          cacheDir,
 				DisableMemoryTier: true,
-			}).AnalyzeFile(binPath)
-			if err == nil && !res.Cached {
-				return nil, errors.New("legacy-envelope warm run not served from the cache")
+			})
+			if err != nil {
+				return nil, err
+			}
+			defer a.Close()
+			res, err := a.AnalyzeFile(binPath)
+			if err == nil && res.Cached {
+				return nil, errors.New("corrupt segment record still served a cached result")
 			}
 			return res, err
 		}},
-		// Pack-tier axis: compacting the loose entries (by now all in
-		// the legacy envelope format, so this leg also covers legacy
-		// absorption) into a memory-mapped pack must be invisible in
-		// results — a warm run over the pack is byte-identical to every
-		// other leg, and the hit provably came from the pack tier.
+		// Pack-tier axis: compacting the sealed segments into a
+		// memory-mapped pack must be invisible in results — a warm run
+		// over the pack is byte-identical to every other leg, and the
+		// hit provably came from the pack tier.
 		leg{"cache-pack", func() (*bside.Analysis, error) {
 			st, err := cache.Open(cacheDir)
 			if err != nil {
@@ -353,7 +363,7 @@ func (o *Oracle) Check(c Case) *Verdict {
 		// broken) must be rejected wholesale — the analyzer recomputes
 		// from scratch and still produces the identical fingerprint; it
 		// must never ghost-serve bytes out of a corrupt mapping. The
-		// recompute re-stores loose entries as a side effect.
+		// recompute re-stores into a segment as a side effect.
 		leg{"cache-pack-corrupt", func() (*bside.Analysis, error) {
 			st, err := cache.Open(cacheDir)
 			if err != nil {
@@ -739,39 +749,56 @@ func (o *Oracle) fingerprintOf(legName string, res *bside.Analysis) *fingerprint
 	}
 }
 
-// legacyEnvelope mirrors the cache store's on-disk schema so the
-// legacy leg can rewrite entries without importing store internals;
-// the payload stays raw so the rewrite is byte-faithful.
-type legacyEnvelope struct {
-	Version int             `json:"version"`
-	SHA256  string          `json:"sha256"`
-	Conf    string          `json:"conf,omitempty"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// downgradeCacheEnvelopes rewrites every cache entry under dir into
-// the pretty-printed version-1 envelope format of earlier releases —
-// the shape a fleet upgrading in place still has on disk.
-func downgradeCacheEnvelopes(dir string) error {
-	return filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return err
-		}
+// flipSegmentRecord flips one payload byte of every cache segment
+// record stored under the image hash — the program entry — and leaves
+// every other record intact. The flip turns the record's last digit
+// into another digit, so the JSON stays valid and only the record CRC
+// can catch it. Segments live in <dir>/segments/*.seg; a record is
+// found by its raw 32-byte key and ends where the next record's "BSR1"
+// magic (or the file) begins.
+func flipSegmentRecord(dir, hash string) error {
+	key, err := hex.DecodeString(hash)
+	if err != nil {
+		return err
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
+	if err != nil {
+		return err
+	}
+	flipped := 0
+	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		var env legacyEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			return fmt.Errorf("downgrade %s: %w", path, err)
+		n := flipped
+		for off := 0; ; {
+			i := bytes.Index(data[off:], key)
+			if i < 0 {
+				break
+			}
+			off += i + len(key)
+			end := bytes.Index(data[off:], []byte("BSR1"))
+			if end < 0 {
+				end = len(data) - off
+			}
+			at := off + end - 1
+			if d := bytes.LastIndexAny(data[off:off+end], "0123456789"); d >= 0 {
+				at = off + d
+			}
+			data[at] ^= 0x01
+			flipped++
 		}
-		env.Version = 1
-		out, err := json.MarshalIndent(env, "", "  ")
-		if err != nil {
-			return err
+		if flipped > n {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				return err
+			}
 		}
-		return os.WriteFile(path, out, 0o644)
-	})
+	}
+	if flipped == 0 {
+		return errors.New("no segment record holds the program entry")
+	}
+	return nil
 }
 
 func kindString(p corpus.Profile) string {

@@ -47,7 +47,7 @@ import (
 )
 
 // memoKind is the cache-store partition for persisted function
-// summaries, living alongside the "interface" and "program" envelopes.
+// summaries, living alongside the "interface" and "program" entries.
 const memoKind = "funcsum"
 
 // maxMemoEntries bounds the process-wide in-memory memo. The cap is a
@@ -57,8 +57,8 @@ const memoKind = "funcsum"
 const maxMemoEntries = 1 << 18
 
 // persistMinBlocks gates which site records reach the on-disk store: a
-// search that executed fewer blocks than this is cheaper to redo than a
-// file write plus rename, so only the expensive searches — deep
+// search that executed fewer blocks than this is cheaper to redo than
+// storing and indexing its record, so only the expensive searches — deep
 // backward walks, wide wrapper fan-outs — pay the I/O. The gate is a
 // deterministic function of the (deterministic) block count, so the
 // disk tier stays content-consistent. In-memory memoization is not
@@ -70,7 +70,7 @@ const persistMinBlocks = 16
 // instance (ProcessMemo) is shared by every analyzer so identical
 // functions are analyzed once per process; a cache.Store passed per
 // lookup (Config.MemoStore) additionally persists entries across
-// processes, alongside the shared-interface envelopes.
+// processes, alongside the shared-interface entries.
 type Memo struct {
 	entries sync.Map // memo key -> wrapperRec | siteRec
 	size    atomic.Int64

@@ -1,7 +1,7 @@
 package shared
 
 import (
-	"io/fs"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -11,6 +11,7 @@ import (
 	"bside/internal/asm"
 	"bside/internal/cache"
 	"bside/internal/elff"
+	"bside/internal/faults"
 	"bside/internal/ident"
 	"bside/internal/testbin"
 	"bside/internal/x86"
@@ -250,29 +251,18 @@ func TestInterfaceContentCache(t *testing.T) {
 		return main
 	}
 
-	// Per-function "funcsum" entries share the store, so the guard
-	// against re-analysis counts interface-kind entries on disk, not
-	// total stores.
-	countInterfaces := func() int {
-		n := 0
-		_ = filepath.WalkDir(filepath.Join(store.Dir(), "interface"), func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				n++
-			}
-			return nil
-		})
-		return n
-	}
-
 	a1 := NewAnalyzer(counting, ident.Config{})
 	a1.Cache = store
 	if _, err := a1.Program(mkMain(1)); err != nil {
 		t.Fatal(err)
 	}
-	interfacesAfterFirst := countInterfaces()
-	if store.Stats().Stores == 0 || interfacesAfterFirst == 0 {
+	if store.Stats().Stores == 0 {
 		t.Fatal("nothing persisted")
 	}
+	// From here on, storing an interface entry trips an injected write
+	// fault, counted in IOErrors.
+	restore := faults.Activate(faults.Rule{Point: faults.CacheWrite, Match: "interface/", Err: errors.New("interface re-stored")})
+	defer restore()
 
 	// New analyzer, different main binary, same libc: the interface
 	// must come from the store (no second AnalyzeLibrary, evidenced by
@@ -290,10 +280,9 @@ func TestInterfaceContentCache(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("interface not served from store: %+v", st)
 	}
-	// The libc interface entry must not be re-analyzed or rewritten:
-	// the interface-kind entry count is unchanged.
-	if n := countInterfaces(); n != interfacesAfterFirst {
-		t.Fatalf("interface entries grew: %d (first run ended at %d)", n, interfacesAfterFirst)
+	// The libc interface entry must not be re-analyzed or rewritten.
+	if st.IOErrors != 0 {
+		t.Fatalf("second analyzer re-stored the libc interface: %+v", st)
 	}
 }
 

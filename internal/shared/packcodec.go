@@ -16,7 +16,7 @@ import (
 // (byte 0) and conservative by construction — EncodeJSON re-decodes
 // its own output and bails to raw JSON on any divergence from what
 // encoding/json would have produced, so a pack entry can never answer
-// differently than the loose envelope it replaced.
+// differently than the segment record it replaced.
 //
 //	[0]  codec version (1)
 //	[1]  flags: bit0 FailOpen

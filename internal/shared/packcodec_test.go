@@ -50,7 +50,7 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 		if !(summaryCodec{}.Decode(enc, &got)) {
 			t.Fatalf("case %d: decode failed", i)
 		}
-		// The oracle is what a loose-tier load would have produced.
+		// The oracle is what a segment-tier load would have produced.
 		var want Summary
 		if err := json.Unmarshal(payload, &want); err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestSummaryCodecRefusals(t *testing.T) {
 
 // TestSummaryCodecDecodeRejectsDamage: decode of truncated or
 // version-skewed bytes fails cleanly (the probe falls through to the
-// loose tier) instead of producing a partial Summary.
+// segments) instead of producing a partial Summary.
 func TestSummaryCodecDecodeRejectsDamage(t *testing.T) {
 	payload, _ := json.Marshal(Summary{Syscalls: []uint64{1, 60}, Imports: []string{"libc.so.6"}})
 	enc, ok := summaryCodec{}.EncodeJSON(payload)
@@ -143,7 +143,7 @@ func TestResolverConfigBustsPackTier(t *testing.T) {
 	}
 
 	// Fresh handle with the memory tier off: the pack is the only tier
-	// that can answer (the loose entry was pruned by compaction).
+	// that can answer (compaction deleted the segment).
 	packed, err := cache.Open(dir)
 	if err != nil {
 		t.Fatal(err)

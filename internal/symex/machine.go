@@ -117,10 +117,14 @@ type Machine struct {
 	budget      *Budget
 	importSlots map[uint64]bool
 
-	statePool  sync.Pool
 	visitsPool sync.Pool
 	runPool    sync.Pool
 }
+
+// statePool recycles path states across machines: a reset State holds
+// nothing tied to one graph, so the binaries of a fleet sweep reuse the
+// same states instead of each allocating its own.
+var statePool sync.Pool
 
 // runScratch is the per-RunToSite working set: the task stack, its
 // parallel visit-buffer stack, and the per-block successor staging
@@ -149,7 +153,7 @@ func (m *Machine) Budget() *Budget { return m.budget }
 // NewState returns an empty path state drawn from the machine's pool;
 // pair with Release (directly, or via the Result that carried it).
 func (m *Machine) NewState() *State {
-	if s, ok := m.statePool.Get().(*State); ok {
+	if s, ok := statePool.Get().(*State); ok {
 		return s
 	}
 	return NewState()
@@ -166,7 +170,7 @@ func (m *Machine) NewEntryState(stackParams int) *State {
 // freeState scrubs s and returns it to the pool.
 func (m *Machine) freeState(s *State) {
 	s.reset()
-	m.statePool.Put(s)
+	statePool.Put(s)
 }
 
 // cloneState is State.Clone through the pool.
