@@ -58,9 +58,11 @@ bench-compare:
 
 # Regression gate: the fresh artifact against the committed baseline.
 # Gated metrics are the machine-independent ones: allocs/op (the
-# allocation trajectory) and identified/op (the resolver's mean
+# allocation trajectory), identified/op (the resolver's mean
 # identified-set size over the fixed precision corpus — a rise means
-# indirect-call resolution stopped shrinking sets). ns/op depends on
+# indirect-call resolution stopped shrinking sets) and insns/op,
+# blocks/op, edges/op (the size of the graph RecoverLargeBinary
+# recovers — deterministic, so a move means the graph changed). ns/op depends on
 # the runner (the baseline was recorded on a different box than CI's),
 # so time lands in the artifact for human trending but is not gated.
 # >10% regression on any gated metric fails the build, and
@@ -68,7 +70,7 @@ bench-compare:
 # committed baseline (a PR adding one must refresh BENCH_seed.json in
 # the same change).
 bench-check: bench-compare
-	$(GO) run ./cmd/benchjson -compare -metrics allocs/op,identified/op -require-baseline BENCH_seed.json BENCH_$(SHA).json
+	$(GO) run ./cmd/benchjson -compare -metrics allocs/op,identified/op,insns/op,blocks/op,edges/op -require-baseline BENCH_seed.json BENCH_$(SHA).json
 
 # CPU+heap profiles of the dominant workload (the large-binary
 # identification pass) plus the pprof one-liners to read them.

@@ -376,15 +376,23 @@ func BenchmarkAnalyzeLargeBinary(b *testing.B) {
 // incremental active-address-taken fixpoint and the slab-built graph.
 // This is the stage that dominates once identification is memoized, so
 // its allocs/op are gated by `make bench-check` alongside the
-// whole-analysis benchmarks.
+// whole-analysis benchmarks. The builder pool is warmed before the
+// timer starts, so allocs/op is the steady state a batch pays per
+// binary, not a mix of pool misses. insns/op, blocks/op and edges/op
+// are the recovered graph's size: deterministic, so a gated change in
+// them means the graph itself changed.
 func BenchmarkRecoverLargeBinary(b *testing.B) {
 	bin, err := corpus.BuildProgram(corpus.LargeBinaryProfile())
 	if err != nil {
 		b.Fatal(err)
 	}
+	g, err := cfg.Recover(bin, cfg.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := cfg.Recover(bin, cfg.Options{})
+		g, err = cfg.Recover(bin, cfg.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -392,6 +400,9 @@ func BenchmarkRecoverLargeBinary(b *testing.B) {
 			b.Fatal("empty graph")
 		}
 	}
+	b.ReportMetric(float64(g.Stats.DecodedInsns), "insns/op")
+	b.ReportMetric(float64(g.Stats.NumBlocks), "blocks/op")
+	b.ReportMetric(float64(g.Stats.NumEdges), "edges/op")
 }
 
 // --- substrate micro-benchmarks -----------------------------------------

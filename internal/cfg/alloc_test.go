@@ -46,9 +46,10 @@ func TestRecoverAllocCeilingHotDeep(t *testing.T) {
 			t.Fatal("empty graph")
 		}
 	})
-	// Steady state is ~45 allocations: the final instruction arena, the
-	// block/edge/function slabs, the two lookup maps, and the sorted
-	// address-taken copies. Everything decode- or round-shaped is pooled.
+	// Steady state is ~32 allocations: the final instruction arena, the
+	// block/edge/function slabs, the import-stub map, and the sorted
+	// address-taken copies. The graph keeps no address-keyed lookup
+	// maps, and everything decode- or round-shaped is pooled.
 	const ceiling = 120
 	t.Logf("HotDeep recover: %.1f allocs/op (ceiling %d)", avg, ceiling)
 	if avg > ceiling {

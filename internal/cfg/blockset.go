@@ -63,8 +63,8 @@ func (s *BlockSet) Reset() {
 	s.n = 0
 }
 
-// ReachableSet is the bitset form of Reachable: the set of blocks
-// reachable from the given root addresses following all edge kinds.
+// ReachableSet returns the set of blocks reachable from the given root
+// addresses following all edge kinds.
 // Iteration order is the caller's choice — walking SortedBlocks and
 // filtering with Has yields address order without sorting.
 func (g *Graph) ReachableSet(roots ...uint64) *BlockSet {
@@ -80,7 +80,7 @@ func (g *Graph) ReachableSetFiltered(allow func(Edge) bool, roots ...uint64) *Bl
 	seen := NewBlockSet(len(g.sortedBlocks))
 	var stack []*Block
 	for _, r := range roots {
-		if b, ok := g.Blocks[r]; ok && seen.Add(b) {
+		if b, ok := g.BlockAt(r); ok && seen.Add(b) {
 			stack = append(stack, b)
 		}
 	}

@@ -77,15 +77,12 @@ func TestBlockSetNilIsEmpty(t *testing.T) {
 	}
 }
 
-// TestReachableSetMatchesReachable: the bitset reachability agrees with
-// the map-based original on a real recovered graph shape — here a
-// hand-wired diamond with an unreachable tail.
+// TestReachableSetMatchesReachable: bitset reachability over a
+// hand-wired diamond with an unreachable tail and a dangling root
+// yields exactly the diamond and its callee.
 func TestReachableSetMatchesReachable(t *testing.T) {
 	blocks := fakeBlocks(6)
-	g := &Graph{Blocks: make(map[uint64]*Block), sortedBlocks: blocks}
-	for _, b := range blocks {
-		g.Blocks[b.Addr] = b
-	}
+	g := &Graph{sortedBlocks: blocks}
 	link := func(kind EdgeKind, from, to *Block) {
 		e := Edge{Kind: kind, From: from, To: to}
 		from.Succs = append(from.Succs, e)
@@ -98,14 +95,15 @@ func TestReachableSetMatchesReachable(t *testing.T) {
 	link(EdgeJump, blocks[2], blocks[3])
 	link(EdgeCall, blocks[3], blocks[4])
 
-	want := g.Reachable(blocks[0].Addr)
-	got := g.ReachableSet(blocks[0].Addr)
-	if got.Len() != len(want) {
-		t.Fatalf("Len %d, want %d", got.Len(), len(want))
+	// 0x1 starts no block: a root that misses is ignored.
+	got := g.ReachableSet(blocks[0].Addr, 0x1)
+	want := []bool{true, true, true, true, true, false}
+	if got.Len() != 5 {
+		t.Fatalf("Len %d, want 5", got.Len())
 	}
 	for _, b := range blocks {
-		if got.Has(b) != want[b] {
-			t.Fatalf("block %d: bitset %v, map %v", b.ID, got.Has(b), want[b])
+		if got.Has(b) != want[b.ID] {
+			t.Fatalf("block %d: reachable %v, want %v", b.ID, got.Has(b), want[b.ID])
 		}
 	}
 }

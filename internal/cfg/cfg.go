@@ -135,10 +135,13 @@ func (f *Func) End() uint64 {
 // from a worker pool. The contract is exercised by a concurrent-reader
 // test under the race detector; code needing a mutated variant must
 // re-Recover, never edit in place.
+//
+// The graph keeps no address-keyed maps: blocks and functions are
+// address-sorted slices, and every lookup (BlockAt, BlockContaining,
+// FuncByEntry, FuncContaining) is a binary search over them.
 type Graph struct {
-	Bin    *elff.Binary
-	Blocks map[uint64]*Block
-	Funcs  []*Func // sorted by entry address
+	Bin   *elff.Binary
+	Funcs []*Func // sorted by entry address
 
 	// AddrTaken is every code address used as a lea operand anywhere in
 	// the disassembled image; ActiveAddrTaken is the subset reachable
@@ -157,7 +160,6 @@ type Graph struct {
 	// enforcement).
 	Stats Stats
 
-	funcByEntry  map[uint64]*Func
 	sortedBlocks []*Block
 }
 
@@ -170,23 +172,31 @@ type Stats struct {
 	DecodeFailures int
 }
 
+// blockAtOrBelow returns the block with the highest start address
+// <= addr (binary search over the sorted block list), or nil.
+func (g *Graph) blockAtOrBelow(addr uint64) *Block {
+	bs := g.sortedBlocks
+	idx := sort.Search(len(bs), func(i int) bool { return bs[i].Addr > addr })
+	if idx == 0 {
+		return nil
+	}
+	return bs[idx-1]
+}
+
 // BlockAt returns the block starting at addr.
 func (g *Graph) BlockAt(addr uint64) (*Block, bool) {
-	b, ok := g.Blocks[addr]
-	return b, ok
+	if b := g.blockAtOrBelow(addr); b != nil && b.Addr == addr {
+		return b, true
+	}
+	return nil, false
 }
 
 // BlockContaining returns the block whose address range contains addr.
 func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
-	// Blocks never overlap; binary-search over the sorted block list.
-	idx := sort.Search(len(g.sortedBlocks), func(i int) bool {
-		return g.sortedBlocks[i].Addr > addr
-	})
-	if idx == 0 {
-		return nil, false
-	}
-	b := g.sortedBlocks[idx-1]
-	if addr >= b.Addr && addr < b.End() {
+	// Only the nearest block at or below addr can contain it; where
+	// overlapping instruction streams make blocks overlap, the later
+	// start wins.
+	if b := g.blockAtOrBelow(addr); b != nil && addr < b.End() {
 		return b, true
 	}
 	return nil, false
@@ -195,19 +205,20 @@ func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
 // FuncContaining returns the function whose range contains addr, using
 // the nearest-preceding-entry rule.
 func (g *Graph) FuncContaining(addr uint64) (*Func, bool) {
-	idx := sort.Search(len(g.Funcs), func(i int) bool {
-		return g.Funcs[i].Entry > addr
-	})
+	fs := g.Funcs
+	idx := sort.Search(len(fs), func(i int) bool { return fs[i].Entry > addr })
 	if idx == 0 {
 		return nil, false
 	}
-	return g.Funcs[idx-1], true
+	return fs[idx-1], true
 }
 
 // FuncByEntry returns the function with the given entry address.
 func (g *Graph) FuncByEntry(entry uint64) (*Func, bool) {
-	f, ok := g.funcByEntry[entry]
-	return f, ok
+	if f, ok := g.FuncContaining(entry); ok && f.Entry == entry {
+		return f, true
+	}
+	return nil, false
 }
 
 // SyscallBlocks returns every block ending in a syscall instruction, in
@@ -220,30 +231,6 @@ func (g *Graph) SyscallBlocks() []*Block {
 		}
 	}
 	return out
-}
-
-// Reachable returns the set of blocks reachable from the given root
-// addresses following all edge kinds.
-func (g *Graph) Reachable(roots ...uint64) map[*Block]bool {
-	seen := make(map[*Block]bool)
-	var stack []*Block
-	for _, r := range roots {
-		if b, ok := g.Blocks[r]; ok && !seen[b] {
-			seen[b] = true
-			stack = append(stack, b)
-		}
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range b.Succs {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
 }
 
 // SortedBlocks returns all blocks in address order. Callers must not

@@ -276,11 +276,52 @@ func TestReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach := g.Reachable(bin.Entry)
-	if used, _ := g.BlockAt(syms["used"]); !reach[used] {
+	reach := g.ReachableSet(bin.Entry)
+	if used, _ := g.BlockAt(syms["used"]); !reach.Has(used) {
 		t.Fatal("used must be reachable")
 	}
-	if unused, ok := g.BlockAt(syms["unused"]); ok && reach[unused] {
+	if unused, ok := g.BlockAt(syms["unused"]); ok && reach.Has(unused) {
 		t.Fatal("unused must not be reachable from entry")
+	}
+}
+
+// TestOverlapJoinIsBlockBoundary: mov ecx, imm32 hides mov rbx, rax in
+// its immediate, and a function symbol makes recovery decode the hidden
+// stream too. Both streams fall into the syscall, so the syscall must
+// start its own block with both as predecessors — otherwise the block
+// ending in the mov has no successor and the syscall is unreachable
+// from the entry.
+func TestOverlapJoinIsBlockBoundary(t *testing.T) {
+	bin, syms := assemble(t, elff.KindStatic, func(b *asm.Builder) {
+		b.Func("_start")
+		b.Nop()
+		b.Raw(0xB9, 0x90) // mov ecx, imm32 — imm continues below
+		b.Func("hidden")
+		b.Raw(0x48, 0x89, 0xC3) // mov rbx, rax
+		b.Syscall()
+		b.Ret()
+	})
+	// The syscall carries no label: every label here is a symbol, and
+	// a symbol would make it a leader regardless of the join.
+	siteAddr := syms["hidden"] + 3
+	for i := 0; i < 8; i++ { // symbol order varies with map iteration
+		g, err := Recover(bin, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		site, ok := g.BlockAt(siteAddr)
+		if !ok || !site.EndsInSyscall() {
+			t.Fatalf("no syscall block at the join point:%s", g.Listing())
+		}
+		entry, _ := g.BlockAt(bin.Entry)
+		hidden, _ := g.BlockAt(syms["hidden"])
+		for _, from := range []*Block{entry, hidden} {
+			if len(from.Succs) != 1 || from.Succs[0].Kind != EdgeFall || from.Succs[0].To != site {
+				t.Fatalf("block %#x: succs %v, want one fall edge to the syscall", from.Addr, from.Succs)
+			}
+		}
+		if !g.ReachableSet(bin.Entry).Has(site) {
+			t.Fatal("syscall unreachable from the entry")
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -49,7 +50,8 @@ func (o Options) withDefaults() Options {
 // activated regions are traversed exactly once, and reachability never
 // restarts), and the final graph is materialized once at the fixpoint
 // from pre-counted slabs — Block.Insns are zero-copy views into the
-// address-ordered arena.
+// address-ordered arena, and edges are wired through per-instruction
+// index arrays rather than an address map.
 func Recover(bin *elff.Binary, opts Options) (*Graph, error) {
 	opts = opts.withDefaults()
 	b := getBuilder(bin, opts.MaxInsns)
@@ -154,8 +156,10 @@ type builder struct {
 	slotImport map[uint64]string
 
 	// Finalization scratch, reused across calls: per-block start
-	// indices and per-block edge degree counters.
+	// indices, the block each final instruction starts (-1 for
+	// mid-block instructions), and per-block edge degree counters.
 	blockStarts []int32
+	blockOf     []int32
 	succDeg     []int32
 	predDeg     []int32
 	entries     []funcEntry
@@ -183,6 +187,14 @@ func getBuilder(bin *elff.Binary, budget int) *builder {
 	b.budget = budget
 	b.decoded = 0
 	b.decodeFailures = 0
+	// Size a fresh or undersized arena once, not by doubling: corpus
+	// programs decode 3-4 code bytes per instruction. The cap keeps a
+	// huge, mostly undecoded code region from buying a huge arena up
+	// front; past it the arena grows with what is actually decoded.
+	if want := min(b.code/3, budget, 1<<18); cap(b.arena) < want {
+		b.arena = make([]x86.Inst, 0, want)
+		b.leaEA = make([]uint64, 0, want)
+	}
 	b.arena = b.arena[:0]
 	b.leaEA = b.leaEA[:0]
 	b.activeList = b.activeList[:0]
@@ -245,6 +257,9 @@ func (b *builder) traverse(starts []uint64) error {
 				break
 			}
 			if b.off2idx[addr-b.base] != 0 {
+				// Joining decoded code: the join begins a block even
+				// when an overlapping instruction precedes it.
+				b.leader.set(int(addr - b.base))
 				break
 			}
 			if b.decoded >= b.budget {
@@ -411,11 +426,13 @@ func (b *builder) fixpoint(roots, dataPtrs []uint64, maxRounds int) (int, error)
 // materialize builds the final immutable graph in one pass over the
 // address-ordered arena: blocks and edges are pre-counted and carved
 // from slabs, so the build cost is a handful of allocations however
-// large the binary.
+// large the binary. Edge targets resolve through two pooled arrays —
+// off2idx (code offset to instruction) and blockOf (instruction to the
+// block it starts) — so the graph needs no address map.
 func (b *builder) materialize(g *Graph) {
 	// Address-ordered arena: the only copy of the decoded
 	// instructions the graph keeps. off2idx is rewritten to point into
-	// it so edge wiring can look targets up in O(1).
+	// it.
 	final := make([]x86.Inst, len(b.arena))
 	n := 0
 	for off := 0; off < b.code; off++ {
@@ -429,11 +446,14 @@ func (b *builder) materialize(g *Graph) {
 
 	// Pass 1: block boundaries.
 	b.blockStarts = b.blockStarts[:0]
+	b.blockOf = slices.Grow(b.blockOf[:0], n)[:n]
 	var prevEnd uint64
 	open := false
 	for i := range final {
 		in := &final[i]
+		b.blockOf[i] = -1
 		if !open || b.leader.has(int(in.Addr-b.base)) || in.Addr != prevEnd {
+			b.blockOf[i] = int32(len(b.blockStarts))
 			b.blockStarts = append(b.blockStarts, int32(i))
 			open = true
 		}
@@ -446,7 +466,6 @@ func (b *builder) materialize(g *Graph) {
 	numBlocks := len(b.blockStarts)
 	blocks := make([]Block, numBlocks)
 	sorted := make([]*Block, numBlocks)
-	byAddr := make(map[uint64]*Block, numBlocks)
 	g.ImportStubs = make(map[uint64]string)
 	for k := range blocks {
 		start := int(b.blockStarts[k])
@@ -459,10 +478,16 @@ func (b *builder) materialize(g *Graph) {
 		blk.Insns = final[start:end:end]
 		blk.ID = k
 		sorted[k] = blk
-		byAddr[blk.Addr] = blk
 	}
-	g.Blocks = byAddr
 	g.sortedBlocks = sorted
+	blockAt := func(addr uint64) *Block {
+		if i := b.insnAt(addr); i >= 0 {
+			if k := b.blockOf[i]; k >= 0 {
+				return &blocks[k]
+			}
+		}
+		return nil
+	}
 
 	// Active address-taken blocks, in address order: the indirect-edge
 	// targets. The sorted copy doubles as Graph.ActiveAddrTaken.
@@ -471,8 +496,44 @@ func (b *builder) materialize(g *Graph) {
 	g.ActiveAddrTaken = activeAddrs
 	activeBlocks := make([]*Block, 0, len(activeAddrs))
 	for _, ea := range activeAddrs {
-		if blk, ok := byAddr[ea]; ok {
+		if blk := blockAt(ea); blk != nil {
 			activeBlocks = append(activeBlocks, blk)
+		}
+	}
+
+	// Out-edges of one block, in wiring order. The count and wire passes
+	// both enumerate through it, so the pre-sized slabs always fit.
+	// importTarget, not the ImportCall label, decides indirect fan-out:
+	// a dynsym legally named "" would make the label test disagree.
+	forEachEdge := func(blk *Block, emit func(EdgeKind, *Block, *Block)) {
+		last := blk.Last()
+		switch last.Op {
+		case x86.OpJmp:
+			emit(EdgeJump, blk, blockAt(uint64(last.Dst.Imm)))
+		case x86.OpJcc:
+			emit(EdgeJump, blk, blockAt(uint64(last.Dst.Imm)))
+			emit(EdgeFall, blk, blockAt(last.Next()))
+		case x86.OpCall:
+			emit(EdgeCall, blk, blockAt(uint64(last.Dst.Imm)))
+			emit(EdgeCallFall, blk, blockAt(last.Next()))
+		case x86.OpCallInd:
+			if _, ok := b.importTarget(last); !ok {
+				for _, t := range activeBlocks {
+					emit(EdgeIndirectCall, blk, t)
+				}
+			}
+			emit(EdgeCallFall, blk, blockAt(last.Next()))
+		case x86.OpJmpInd:
+			if _, ok := b.importTarget(last); !ok {
+				for _, t := range activeBlocks {
+					emit(EdgeIndirectJump, blk, t)
+				}
+			}
+		case x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
+			// No successors; returns are modeled by EdgeCallFall.
+		default:
+			// Fall-through block boundary (syscall or leader split).
+			emit(EdgeFall, blk, blockAt(last.Next()))
 		}
 	}
 
@@ -486,61 +547,27 @@ func (b *builder) materialize(g *Graph) {
 		clear(b.succDeg)
 		clear(b.predDeg)
 	}
-	blockAt := func(addr uint64) *Block {
-		blk, ok := byAddr[addr]
-		if !ok {
-			return nil
-		}
-		return blk
-	}
 	totalEdges := 0
-	countEdge := func(from *Block, to *Block) {
-		if to == nil {
-			return
+	countEdge := func(_ EdgeKind, from, to *Block) {
+		if to != nil {
+			b.succDeg[from.ID]++
+			b.predDeg[to.ID]++
+			totalEdges++
 		}
-		b.succDeg[from.ID]++
-		b.predDeg[to.ID]++
-		totalEdges++
 	}
 	for _, blk := range sorted {
-		last := blk.Last()
-		switch last.Op {
-		case x86.OpJmp:
-			countEdge(blk, blockAt(uint64(last.Dst.Imm)))
-		case x86.OpJcc:
-			countEdge(blk, blockAt(uint64(last.Dst.Imm)))
-			countEdge(blk, blockAt(last.Next()))
-		case x86.OpCall:
-			countEdge(blk, blockAt(uint64(last.Dst.Imm)))
-			countEdge(blk, blockAt(last.Next()))
-		case x86.OpCallInd:
+		if last := blk.Last(); last.Op == x86.OpCallInd || last.Op == x86.OpJmpInd {
 			if name, ok := b.importTarget(last); ok {
 				blk.ImportCall = name
-			} else {
-				for _, t := range activeBlocks {
-					countEdge(blk, t)
+				if last.Op == x86.OpJmpInd {
+					g.ImportStubs[blk.Addr] = name
 				}
 			}
-			countEdge(blk, blockAt(last.Next()))
-		case x86.OpJmpInd:
-			if name, ok := b.importTarget(last); ok {
-				blk.ImportCall = name
-				g.ImportStubs[blk.Addr] = name
-			} else {
-				for _, t := range activeBlocks {
-					countEdge(blk, t)
-				}
-			}
-		case x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
-			// No successors; returns are modeled by EdgeCallFall.
-		default:
-			// Fall-through block boundary (syscall or leader split).
-			countEdge(blk, blockAt(last.Next()))
 		}
+		forEachEdge(blk, countEdge)
 	}
 
-	// Pass 3: carve Succs/Preds from two slabs and wire the edges in
-	// the same order the per-round builder produced.
+	// Pass 3: carve Succs/Preds from two slabs and wire the edges.
 	succSlab := make([]Edge, 0, totalEdges)
 	predSlab := make([]Edge, 0, totalEdges)
 	for _, blk := range sorted {
@@ -552,44 +579,14 @@ func (b *builder) materialize(g *Graph) {
 		predSlab = predSlab[:len(predSlab)+d]
 	}
 	addEdge := func(kind EdgeKind, from, to *Block) {
-		if to == nil {
-			return
+		if to != nil {
+			e := Edge{Kind: kind, From: from, To: to}
+			from.Succs = append(from.Succs, e)
+			to.Preds = append(to.Preds, e)
 		}
-		e := Edge{Kind: kind, From: from, To: to}
-		from.Succs = append(from.Succs, e)
-		to.Preds = append(to.Preds, e)
 	}
 	for _, blk := range sorted {
-		last := blk.Last()
-		switch last.Op {
-		case x86.OpJmp:
-			addEdge(EdgeJump, blk, blockAt(uint64(last.Dst.Imm)))
-		case x86.OpJcc:
-			addEdge(EdgeJump, blk, blockAt(uint64(last.Dst.Imm)))
-			addEdge(EdgeFall, blk, blockAt(last.Next()))
-		case x86.OpCall:
-			addEdge(EdgeCall, blk, blockAt(uint64(last.Dst.Imm)))
-			addEdge(EdgeCallFall, blk, blockAt(last.Next()))
-		case x86.OpCallInd:
-			// Same predicate as the count pass: importTarget, not the
-			// ImportCall label (a dynsym legally named "" would make
-			// the label test disagree and overflow the edge slabs).
-			if _, ok := b.importTarget(last); !ok {
-				for _, t := range activeBlocks {
-					addEdge(EdgeIndirectCall, blk, t)
-				}
-			}
-			addEdge(EdgeCallFall, blk, blockAt(last.Next()))
-		case x86.OpJmpInd:
-			if _, ok := b.importTarget(last); !ok {
-				for _, t := range activeBlocks {
-					addEdge(EdgeIndirectJump, blk, t)
-				}
-			}
-		case x86.OpRet, x86.OpUd2, x86.OpHlt, x86.OpInt3:
-		default:
-			addEdge(EdgeFall, blk, blockAt(last.Next()))
-		}
+		forEachEdge(blk, addEdge)
 	}
 	g.Stats.NumEdges = totalEdges
 
@@ -625,7 +622,7 @@ type funcEntry struct {
 func (b *builder) inferFunctions(g *Graph) {
 	ents := b.entries[:0]
 	add := func(addr uint64, name string, rank uint8) {
-		if _, ok := g.Blocks[addr]; !ok {
+		if _, ok := g.BlockAt(addr); !ok {
 			return
 		}
 		ents = append(ents, funcEntry{addr: addr, name: name, rank: rank})
@@ -678,13 +675,11 @@ func (b *builder) inferFunctions(g *Graph) {
 
 	funcs := make([]Func, len(ents))
 	g.Funcs = make([]*Func, len(ents))
-	g.funcByEntry = make(map[uint64]*Func, len(ents))
 	for i, e := range ents {
 		f := &funcs[i]
 		f.Entry = e.addr
 		f.Name = e.name
 		g.Funcs[i] = f
-		g.funcByEntry[e.addr] = f
 	}
 	if len(funcs) == 0 {
 		return

@@ -306,6 +306,43 @@ func TestTableHandlersNoFalseNegatives(t *testing.T) {
 	analyzeSupersetOf(t, set, bin, p)
 }
 
+func TestOverlapSitesSound(t *testing.T) {
+	// Each site's syscall is where two overlapping instruction streams
+	// join, and the emulator executes it. The hidden stream's entry has
+	// no predecessors, so the backward search cannot bound the value
+	// along it and the analysis may honestly fail open; what it must
+	// never do is lose the site.
+	p := Profile{Name: "overlap", Kind: elff.KindStatic, OverlapSites: 2, Seed: 91}
+	bin, err := BuildProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := &Set{Libs: map[string]*elff.Binary{}}
+	truth, err := set.groundTruth(bin, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(truth) != 3 {
+		t.Fatalf("truth %v: want both overlap sites plus exit", truth)
+	}
+	rep, err := shared.NewAnalyzer(set.LoadLib, ident.Config{}).Program(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FailOpen {
+		return
+	}
+	have := make(map[uint64]bool, len(rep.Syscalls))
+	for _, n := range rep.Syscalls {
+		have[n] = true
+	}
+	for _, n := range truth {
+		if !have[n] {
+			t.Errorf("FALSE NEGATIVE: %d in truth but not identified", n)
+		}
+	}
+}
+
 func TestGraphLibDAG(t *testing.T) {
 	for i := 0; i < NumGraphLibs; i++ {
 		needs := GraphLibNeeds(i)

@@ -148,6 +148,13 @@ type Profile struct {
 	HotDeep int
 	// DeepBlocks is the block distance of HotDeep sites (0 = 24).
 	DeepBlocks int
+	// OverlapSites adds hot sites whose syscall follows an instruction
+	// that hides another in its immediate bytes. A function symbol
+	// marks the hidden instruction, so recovery decodes both
+	// overlapping streams, and both fall through into the syscall:
+	// the join is a block boundary that address order alone does not
+	// reveal. No standard profile sets it.
+	OverlapSites int
 
 	// Cold-path composition (statically reachable only).
 	ColdDirect  int

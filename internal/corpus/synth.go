@@ -27,6 +27,7 @@ const (
 	patStackWrapper                    // stack-parameter wrapper call
 	patHandler                         // via function pointer
 	patDeep                            // Figure 1 B at DeepBlocks block distance
+	patOverlap                         // syscall joined by overlapping instruction streams
 )
 
 // builder synthesizes one program.
@@ -50,6 +51,10 @@ type builder struct {
 	sigVal          uint64
 	coldHandlerVals []uint64
 	sigDecoyVals    []uint64
+
+	// overlapVals holds the value of each OverlapSites helper, in call
+	// order.
+	overlapVals []uint64
 }
 
 // BuildProgram synthesizes the binary for a profile. extLibIdx selects
@@ -82,7 +87,7 @@ func (s *builder) build() (*elff.Binary, error) {
 	if p.SigDecoys > 0 {
 		sigSite = 1 // the entry-top dispatch through sig_slot
 	}
-	hotVals := s.pick(hotPool, p.HotDirect+p.HotWrapper+p.HotStack+p.Handlers+p.TableHandlers+p.HotDeep+sigSite)
+	hotVals := s.pick(hotPool, p.HotDirect+p.HotWrapper+p.HotStack+p.Handlers+p.TableHandlers+p.HotDeep+sigSite+p.OverlapSites)
 	coldVals := s.pick(coldPool, p.ColdDirect+p.ColdWrapper+p.ColdHandlers+p.SigDecoys)
 	denied := s.pick(deniedPool, p.DeniedVals)
 	// Decoy handlers draw from the tail of the cold plan; like the hot
@@ -98,7 +103,7 @@ func (s *builder) build() (*elff.Binary, error) {
 	// Compose the emission plan. The value pool is finite; plans larger
 	// than it (deep-search stress profiles) recycle values, which only
 	// narrows the ground-truth set, never breaks it.
-	var hotDirect, hotWrap, hotStackW, handlers, hotDeep []emission
+	var hotDirect, hotWrap, hotStackW, handlers, hotDeep, hotOverlap []emission
 	idx := 0
 	take := func(n int, pat pattern, hot bool) []emission {
 		out := make([]emission, 0, n)
@@ -113,6 +118,7 @@ func (s *builder) build() (*elff.Binary, error) {
 	hotStackW = take(p.HotStack, patStackWrapper, true)
 	handlers = take(p.Handlers+p.TableHandlers, patHandler, true)
 	hotDeep = take(p.HotDeep, patDeep, true)
+	hotOverlap = take(p.OverlapSites, patOverlap, true)
 	if sigSite > 0 {
 		s.sigVal = hotVals[idx%len(hotVals)]
 		idx++
@@ -206,11 +212,12 @@ func (s *builder) build() (*elff.Binary, error) {
 
 	// Split hot work into init / loop / shutdown segments so phase
 	// detection has temporal structure (§5.4).
-	all := make([]emission, 0, len(hotDirect)+len(hotWrap)+len(hotStackW)+len(hotDeep))
+	all := make([]emission, 0, len(hotDirect)+len(hotWrap)+len(hotStackW)+len(hotDeep)+len(hotOverlap))
 	all = append(all, hotDirect...)
 	all = append(all, hotWrap...)
 	all = append(all, hotStackW...)
 	all = append(all, hotDeep...)
+	all = append(all, hotOverlap...)
 	s.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	third := len(all) / 3
 	initSeg, loopSeg, downSeg := all[:third], all[third:2*third], all[2*third:]
@@ -380,6 +387,12 @@ func (s *builder) emit(e emission) {
 
 	case patHandler:
 		// Emitted separately as a function; nothing inline.
+
+	case patOverlap:
+		// The site lives in its own helper (see emitHelpers): its
+		// hidden-instruction symbol would otherwise split _start.
+		b.CallLabel(fmt.Sprintf("overlap_%d", len(s.overlapVals)))
+		s.overlapVals = append(s.overlapVals, e.value)
 	}
 }
 
@@ -486,6 +499,21 @@ func (s *builder) emitHelpers(handlers []emission) {
 		b.Func(fmt.Sprintf("cold_handler_%d", i))
 		b.Endbr64()
 		b.MovRegImm32(x86.RAX, uint32(v))
+		b.Syscall()
+		b.Ret()
+	}
+	for i, v := range s.overlapVals {
+		// mov ecx, imm32 whose last three immediate bytes encode
+		// mov rbx, rax: executed, the helper runs mov eax; mov ecx;
+		// syscall. The overlap_hidden symbol makes a disassembler
+		// decode the hidden stream too, and both streams fall into
+		// the syscall.
+		b.Func(fmt.Sprintf("overlap_%d", i))
+		b.Endbr64()
+		b.MovRegImm32(x86.RAX, uint32(v))
+		b.Raw(0xB9, 0x90)
+		b.Func(fmt.Sprintf("overlap_hidden_%d", i))
+		b.Raw(0x48, 0x89, 0xC3)
 		b.Syscall()
 		b.Ret()
 	}

@@ -210,14 +210,18 @@ func (o Operand) String() string {
 }
 
 // Inst is one decoded instruction.
+//
+// Field order is layout: the four byte-sized fields share one word
+// after Addr, so an Inst is 64 bytes (one cache line) — the decode
+// arena and every graph's instruction slab hold millions of them.
 type Inst struct {
 	Addr   uint64 // virtual address of the first byte
 	Len    uint8  // encoded length in bytes
 	Op     Op
 	Cond   Cond    // valid when Op == OpJcc
+	OpSize uint8   // effective operand size in bytes: 1, 2, 4 or 8
 	Dst    Operand // first operand (destination for two-operand forms)
 	Src    Operand // second operand
-	OpSize uint8   // effective operand size in bytes: 1, 2, 4 or 8
 }
 
 // Next returns the address of the instruction following i.
